@@ -3,8 +3,9 @@
 #
 # Usage: ./ci.sh
 #
-# The workspace has no crates.io dependencies (rand/proptest/criterion are
-# vendored under devstubs/), so every step below works offline.
+# The workspace has no crates.io dependencies (rand/proptest are vendored
+# under devstubs/), and the perfbench/ host-time benchmark is a separate
+# package built against crates/ by path, so every step below works offline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -55,6 +56,12 @@ cargo build --release --workspace
 
 echo "== cargo test =="
 cargo test -q --workspace
+
+# perfbench/ is its own workspace built against crates/ by path, so a
+# program-API change that breaks the benchmark fails here.
+echo "== perfbench build + unit tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== repro faultsweep smoke (deterministic, 2 campaigns) =="
 out1="$(cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2)"

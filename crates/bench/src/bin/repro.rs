@@ -126,9 +126,9 @@ use triarch_core::htmlreport::{self, FoldedCell};
 use triarch_core::roofline::Scorecard;
 use triarch_core::{ablations, chart, dse, experiments, faultsweep, timelinedoc};
 use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::{flamegraph_svg, HostProf, ProfileDiff, WindowDiff, WindowDoc};
+use triarch_profile::{flamegraph_svg, FoldSink, HostProf, ProfileDiff, WindowDiff, WindowDoc};
 use triarch_simcore::metrics::MetricsReport;
-use triarch_simcore::trace::{export, AggregateSink, RingSink, TeeSink};
+use triarch_simcore::trace::{export, RingSink, TeeSink};
 
 /// Events retained per trace file; older events are counted as dropped.
 const RING_CAPACITY: usize = 1 << 18;
@@ -500,11 +500,6 @@ fn collect_folds(
     Ok((folds, workloads, kind))
 }
 
-/// Rebuilds a [`Table3`] from already-simulated folded cells.
-fn table_from_folds(folds: &[FoldedCell]) -> Table3 {
-    Table3::from_runs(folds.iter().map(|c| ((c.arch, c.kernel), c.run.clone())).collect())
-}
-
 /// Runs every machine × kernel pair traced and writes JSON + CSV files.
 fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new(&opts.trace_dir);
@@ -514,12 +509,12 @@ fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     for arch in Architecture::ALL {
         let mut machine = arch.machine()?;
         for kernel in Kernel::ALL {
-            let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), AggregateSink::new());
+            let mut sink = TeeSink::new(RingSink::new(RING_CAPACITY), FoldSink::new());
             let run = machine.run_traced(kernel, &workloads, &mut sink)?;
-            let TeeSink { a: ring, b: agg } = sink;
+            let TeeSink { a: ring, b: fold } = sink;
             let dropped = ring.dropped();
             let events = ring.into_events();
-            let trace = agg.into_breakdown();
+            let fold = fold.into_fold();
 
             let base = cell_slug(arch, kernel);
             write_file(
@@ -532,13 +527,13 @@ fn dump_traces(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             // the engine's own tally.
             let mut max_drift = 0u64;
             for (category, cycles) in run.breakdown.iter() {
-                max_drift = max_drift.max(cycles.get().abs_diff(trace.get(category)));
+                max_drift = max_drift.max(cycles.get().abs_diff(fold.category_total(category)));
             }
-            max_drift = max_drift.max(run.cycles.get().abs_diff(trace.total()));
+            max_drift = max_drift.max(run.cycles.get().abs_diff(fold.total()));
             println!(
                 "  {base}: {} events ({dropped} dropped from ring), \
                  {} cycles, trace-vs-breakdown drift {max_drift}",
-                trace.events_observed(),
+                fold.events_observed(),
                 run.cycles.get(),
             );
         }
@@ -619,7 +614,7 @@ fn run_metrics(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let dir = Path::new(&opts.metrics_dir);
     ensure_dir(dir)?;
     let (folds, workloads, _) = collect_folds(opts, "collecting hardware-counter metrics")?;
-    let table3 = table_from_folds(&folds);
+    let table3 = driver::table_from_folds(&folds);
     let scorecard = Scorecard::compute(&table3, &workloads)?;
 
     println!("== Hardware-counter metrics ({}) ==", dir.display());
@@ -691,7 +686,7 @@ fn run_report(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     for cell in &folds {
         prof.record_cell(&cell_slug(cell.arch, cell.kernel), cell.wall, cell.run.cycles.get());
     }
-    let table3 = table_from_folds(&folds);
+    let table3 = driver::table_from_folds(&folds);
     let scorecard = prof.time_phase("scorecard", || Scorecard::compute(&table3, &workloads))?;
     let (sweep, sweep_stats) = prof.time_phase("faultsweep", || {
         faultsweep::sweep_jobs(&workloads, opts.seed, opts.campaigns, opts.jobs)

@@ -1,16 +1,14 @@
-//! Benchmark-harness support: shared workload construction for the
-//! `repro` binary and the Criterion benches that regenerate the paper's
-//! tables and figures.
+//! Shared workload construction for the `repro` binary that regenerates
+//! the paper's tables and figures.
 
 use triarch_kernels::WorkloadSet;
 
 pub use triarch_core::benchjson;
 
-/// Seed shared by every bench so all runs see identical data.
+/// Seed shared by every `repro` selector so all runs see identical data.
 pub const SEED: u64 = 42;
 
-/// Builds the paper-sized workload set used across benches and the
-/// `repro` binary.
+/// Builds the paper-sized workload set used by the `repro` binary.
 ///
 /// # Panics
 ///

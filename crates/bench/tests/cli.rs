@@ -281,6 +281,24 @@ fn perfgate_rejects_future_schema_and_truncated_artifacts_with_pinned_messages()
     );
 }
 
+/// 100,000 nested `[` would overflow an unbounded recursive JSON
+/// parser's stack and abort the process; both artifact readers must
+/// instead fail with a one-line nesting error and their usual exit
+/// status.
+#[test]
+fn deeply_nested_artifacts_fail_with_a_nesting_error_not_an_abort() {
+    let dir = tmp("deep-nesting");
+    let deep = dir.join("deep.json");
+    fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let (baseline, deep) = (baseline_path(), deep.to_str().unwrap().to_owned());
+    let baseline = baseline.to_str().unwrap();
+    for out in [perfgate(&[baseline, &deep]), repro(&["profdiff", baseline, &deep])] {
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+        let stderr = stderr_of(&out);
+        assert!(stderr.contains("deep.json") && stderr.contains("nesting deeper than"), "{stderr}");
+    }
+}
+
 fn servectl(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_servectl"))
         .args(args)
@@ -402,6 +420,7 @@ fn servectl_usage_errors_exit_two_with_usage_text() {
         &["submit", "flame"],
         &["submit", "profdiff"],
         &["submit", "table3", "--arch", "viram"],
+        &["submit", "faultsweep", "--seed", "9007199254740993"],
         &["stats", "extra"],
         &["top", "--interval", "0"],
         &["top", "--interval", "abc"],

@@ -404,16 +404,23 @@ pub(crate) fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, Strin
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document of
+/// nested `[` overflows the stack — an abort that no `catch_unwind` can
+/// contain. Every artifact and job body this workspace writes nests at
+/// most a handful of levels.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
 /// Returns a one-line description with a byte offset for malformed
-/// input.
+/// input, including nesting deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -437,11 +444,16 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing
+/// arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
+        return Err(format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {}", *pos));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -519,7 +531,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     Err(String::from("unterminated string"))
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -528,7 +540,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -541,7 +553,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -553,7 +565,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(bytes, pos);
         let key = parse_str(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -795,5 +807,21 @@ mod tests {
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("[1, 2,]").is_err());
         assert!(parse_json("[1] extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_exhausting_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte 64"));
+        // Unbounded, 100,000 levels would overflow the recursive parser's
+        // stack and abort the process.
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let err = parse_json(&"{\"a\": ".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let err = BenchReport::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 }

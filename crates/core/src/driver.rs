@@ -25,8 +25,8 @@
 
 use std::fmt::Write as _;
 
-use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::{fnv1a64, ProfileDiff};
+use triarch_kernels::{Kernel, Probe, WorkloadSet};
+use triarch_profile::{fnv1a64, FoldSink, ProfileDiff};
 use triarch_simcore::metrics::MetricsReport;
 use triarch_simcore::SimError;
 
@@ -46,6 +46,12 @@ pub const WORKLOAD_SEED: u64 = 42;
 
 /// Default fault-sweep seed (`repro --seed`).
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Exclusive upper bound on `seed` and `campaigns`: job JSON carries
+/// numbers as doubles, whose 53-bit mantissa cannot tell `2^53 + 1`
+/// from `2^53`, so larger values would decode to a different spec and
+/// share its cache key.
+pub const MAX_JOB_INT: u64 = 1 << 53;
 
 /// Default fault-injection campaigns per grid cell (`repro --campaigns`).
 pub const DEFAULT_CAMPAIGNS: u64 = 8;
@@ -209,11 +215,17 @@ impl JobSpec {
     ///
     /// [`SimError::Protocol`] when a required argument is missing
     /// (`flame` without a cell, `profdiff` without artifacts), when an
-    /// argument is supplied to a driver that does not take it, or when
-    /// `campaigns` is zero.
+    /// argument is supplied to a driver that does not take it, when
+    /// `campaigns` is zero, or when `seed` or `campaigns` is not below
+    /// [`MAX_JOB_INT`].
     pub fn validate(&self) -> Result<(), SimError> {
         if self.campaigns == 0 {
             return Err(SimError::protocol("campaigns must be at least 1"));
+        }
+        for (name, value) in [("seed", self.seed), ("campaigns", self.campaigns)] {
+            if value >= MAX_JOB_INT {
+                return Err(SimError::protocol(format!("{name} must be below 2^53, got {value}")));
+            }
         }
         if self.driver == DriverKind::Flame && self.cell.is_none() {
             return Err(SimError::protocol("flame jobs require an arch and a kernel"));
@@ -404,10 +416,14 @@ fn field_str(obj: &[(String, Json)], key: &str) -> Result<Option<String>, SimErr
 }
 
 /// Reads an optional non-negative-integer field off a decoded JSON
-/// object.
+/// object. Values at or above [`MAX_JOB_INT`] are rejected: the double
+/// they decoded through may already have rounded them.
 fn field_u64(obj: &[(String, Json)], key: &str) -> Result<Option<u64>, SimError> {
     match obj.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
         None => Ok(None),
+        Some(Json::Num(n)) if *n >= MAX_JOB_INT as f64 => {
+            Err(SimError::protocol(format!("job body: field '{key}' must be below 2^53")))
+        }
         Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
         Some(_) => Err(SimError::protocol(format!(
             "job body: field '{key}' must be a non-negative integer"
@@ -558,8 +574,9 @@ pub fn run_job(spec: &JobSpec, jobs: usize) -> Result<Artifact, SimError> {
                 .cell
                 .ok_or_else(|| SimError::protocol("flame jobs require an arch and a kernel"))?;
             let w = workloads(spec.workload)?;
-            let (_, fold) = MachineSpec::Paper(arch).run_cell_folded(kernel, &w)?;
-            Ok(Artifact::text(fold.render_collapsed(arch.name(), kernel.name())))
+            let mut sink = FoldSink::new();
+            MachineSpec::Paper(arch).run_cell(kernel, &w, Probe::default().with_sink(&mut sink))?;
+            Ok(Artifact::text(sink.fold().render_collapsed(arch.name(), kernel.name())))
         }
         DriverKind::Profdiff => {
             let (a_text, b_text) = spec
@@ -678,6 +695,53 @@ mod tests {
         assert!(err("{\"schema\": 1, \"driver\": \"table3\", \"workload\": \"paper\", \
                  \"arch\": \"Raw\", \"kernel\": \"CSLC\"}")
         .contains("does not take a grid cell"));
+    }
+
+    #[test]
+    fn decode_rejects_integers_a_double_cannot_hold() {
+        let body = |field: &str, value: &str| {
+            format!(
+                "{{\"schema\": 1, \"driver\": \"faultsweep\", \"workload\": \"small\", \
+                 \"{field}\": {value}}}"
+            )
+        };
+        // 2^53 + 1 rounds to 2^53 as a double: without the bound the two
+        // requests would share one canonical form and one cache key.
+        for (field, value) in [
+            ("seed", "9007199254740993"),
+            ("seed", "9007199254740992"),
+            ("seed", "1e300"),
+            ("campaigns", "9007199254740993"),
+            ("campaigns", "1e300"),
+        ] {
+            let err = JobSpec::from_json(&body(field, value)).unwrap_err();
+            assert!(matches!(err, SimError::Protocol { .. }), "{field}={value}: {err}");
+            assert!(err.to_string().contains(&format!("'{field}' must be below 2^53")), "{err}");
+        }
+        let largest = JobSpec::from_json(&body("seed", "9007199254740991")).unwrap();
+        assert_eq!(largest.seed, MAX_JOB_INT - 1);
+    }
+
+    #[test]
+    fn validate_rejects_seeds_and_campaigns_a_double_cannot_hold() {
+        let mut spec = JobSpec::new(DriverKind::Faultsweep, WorkloadKind::Small);
+        spec.seed = MAX_JOB_INT;
+        let err = spec.validate().unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("seed must be below 2^53"), "{err}");
+        spec.seed = MAX_JOB_INT - 1;
+        spec.validate().unwrap();
+        spec.campaigns = u64::MAX;
+        assert!(spec.validate().unwrap_err().to_string().contains("campaigns must be below 2^53"));
+        // run_job validates before doing any work.
+        assert!(matches!(run_job(&spec, 1), Err(SimError::Protocol { .. })));
+    }
+
+    #[test]
+    fn decode_rejects_deep_nesting_with_a_protocol_error() {
+        let err = JobSpec::from_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -178,6 +178,15 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_one_line_error() {
+        let text = format!(
+            "{{\"schema_version\": 1, \"window\": 8, \"workload\": \"x\", \"cells\": {}",
+            "[".repeat(100_000)
+        );
+        assert!(parse_timeline_doc(&text).unwrap_err().starts_with("nesting deeper than"));
+    }
+
+    #[test]
     fn malformed_fields_are_one_line_errors() {
         assert!(parse_timeline_doc("[]").unwrap_err().contains("object"));
         assert!(parse_timeline_doc("{\"schema_version\": 1}").unwrap_err().contains("window"));

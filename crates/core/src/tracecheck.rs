@@ -5,26 +5,24 @@
 //! precharge overhead; §4.3–4.4 do the same for CSLC and beam steering.
 //! Each simulator reports that attribution as a [`CycleBreakdown`]
 //! tallied by hand inside the engine. This module provides the
-//! independent check: it re-runs a machine with an
-//! [`AggregateSink`] attached, folds the emitted *counted* spans back
-//! into per-category totals, and compares those against the engine's own
-//! tally. Agreement means the narrative percentages quoted from the
-//! breakdowns are reproducible from the event stream rather than trusted
-//! constants.
+//! independent check: it re-runs a machine with a [`FoldSink`]
+//! attached, folds the emitted *counted* spans back into per-category
+//! totals, and compares those against the engine's own tally. Agreement
+//! means the narrative percentages quoted from the breakdowns are
+//! reproducible from the event stream rather than trusted constants.
 //!
 //! [`CycleBreakdown`]: triarch_simcore::CycleBreakdown
-//! [`AggregateSink`]: triarch_simcore::trace::AggregateSink
 
 use std::fmt;
 
-use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_simcore::trace::TraceBreakdown;
+use triarch_kernels::{Kernel, Probe, WorkloadSet};
+use triarch_profile::{Fold, FoldSink};
 use triarch_simcore::{KernelRun, SimError};
 
 use crate::arch::{grid, Architecture, MachineSpec};
 use crate::parallel::{run_jobs, PoolStats};
 
-/// One machine × kernel pair run with trace aggregation attached.
+/// One machine × kernel pair run with a folding trace sink attached.
 #[derive(Debug, Clone)]
 pub struct TraceCheck {
     /// The machine that ran.
@@ -33,8 +31,8 @@ pub struct TraceCheck {
     pub kernel: Kernel,
     /// The engine's own result, including its hand-tallied breakdown.
     pub run: KernelRun,
-    /// Per-category totals recovered from the counted trace spans.
-    pub trace: TraceBreakdown,
+    /// The counted trace spans folded per category and span name.
+    pub fold: Fold,
 }
 
 impl TraceCheck {
@@ -43,12 +41,13 @@ impl TraceCheck {
     /// present on either side, plus the grand totals.
     #[must_use]
     pub fn max_drift(&self) -> u64 {
-        let mut drift = self.run.cycles.get().abs_diff(self.trace.total());
+        let mut drift = self.run.cycles.get().abs_diff(self.fold.total());
         for (category, cycles) in self.run.breakdown.iter() {
-            drift = drift.max(cycles.get().abs_diff(self.trace.get(category)));
+            drift = drift.max(cycles.get().abs_diff(self.fold.category_total(category)));
         }
-        for (category, cycles) in self.trace.iter() {
-            drift = drift.max(cycles.abs_diff(self.run.breakdown.get(category).get()));
+        for (category, _, _) in self.fold.iter() {
+            let folded = self.fold.category_total(category);
+            drift = drift.max(folded.abs_diff(self.run.breakdown.get(category).get()));
         }
         drift
     }
@@ -81,15 +80,14 @@ impl fmt::Display for TraceCheck {
             self.arch.name(),
             self.kernel.name(),
             self.run.cycles.get(),
-            self.trace.events_observed(),
+            self.fold.events_observed(),
             self.max_drift(),
             100.0 * self.drift_fraction(),
         )
     }
 }
 
-/// Runs one machine × kernel pair with an
-/// [`AggregateSink`](triarch_simcore::trace::AggregateSink) attached.
+/// Runs one machine × kernel pair with a [`FoldSink`] attached.
 ///
 /// # Errors
 ///
@@ -99,11 +97,16 @@ pub fn check(
     kernel: Kernel,
     workloads: &WorkloadSet,
 ) -> Result<TraceCheck, SimError> {
-    let (run, trace) = MachineSpec::Paper(arch).run_cell_traced(kernel, workloads)?;
-    Ok(TraceCheck { arch, kernel, run, trace })
+    let mut sink = FoldSink::new();
+    let run = MachineSpec::Paper(arch).run_cell(
+        kernel,
+        workloads,
+        Probe::default().with_sink(&mut sink),
+    )?;
+    Ok(TraceCheck { arch, kernel, run, fold: sink.into_fold() })
 }
 
-/// Runs every machine × kernel pair of the study with trace aggregation.
+/// Runs every machine × kernel pair of the study with a folding sink.
 ///
 /// Serial convenience wrapper over [`check_all_jobs`] with one worker.
 ///
@@ -150,11 +153,11 @@ mod tests {
             assert_eq!(
                 check.max_drift(),
                 0,
-                "{} / {}: breakdown {} vs trace {}",
+                "{} / {}: breakdown {} vs fold {:?}",
                 check.arch,
                 check.kernel,
                 check.run.breakdown,
-                check.trace,
+                check.fold,
             );
             assert!(check.agrees_within(0.0));
         }

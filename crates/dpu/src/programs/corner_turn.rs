@@ -12,8 +12,8 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
 
 use crate::config::DpuConfig;
@@ -21,35 +21,16 @@ use crate::machine::DpuMachine;
 
 /// Runs the strip-partitioned corner turn.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every host/DMA transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] when a strip exceeds an MRAM bank, a row block
 /// exceeds the WRAM scratchpad, or host memory is exhausted.
-pub fn run(cfg: &DpuConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &DpuConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every
-/// host/DMA transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &DpuConfig,
     workload: &CornerTurnWorkload,
     sink: S,
@@ -159,19 +140,21 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(48, 40, 3).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = run(&DpuConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn paper_shape_strips_block_through_wram() {
         let w = CornerTurnWorkload::with_dims(256, 256, 5).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = run(&DpuConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
         assert!(run.breakdown.get("mram_dma").get() > 0);
     }
@@ -181,14 +164,14 @@ mod tests {
         let mut cfg = DpuConfig::paper();
         cfg.dpus_per_rank = 4; // 8 DPUs, 6 rows each
         let w = CornerTurnWorkload::with_dims(48, 64, 1).unwrap();
-        let run = run(&cfg, &w).unwrap();
+        let run = run(&cfg, &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn host_round_trip_dominates() {
         let w = CornerTurnWorkload::with_dims(512, 512, 1).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = run(&DpuConfig::paper(), &w, NullSink, NoFaults).unwrap();
         // No inter-DPU communication: the transpose pays the host bulk
         // interface in both directions, which dwarfs bank-local DMA.
         let host = run.breakdown.fraction("host_xfer");
@@ -202,6 +185,6 @@ mod tests {
         cfg.dpus_per_rank = 1;
         cfg.ranks = 1; // one DPU must hold the whole matrix
         let w = CornerTurnWorkload::with_dims(512, 512, 0).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -14,8 +14,8 @@
 use triarch_fft::{Cf32, Fft};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError, WordMemory};
 
 use crate::config::DpuConfig;
@@ -47,36 +47,17 @@ fn wram_write_complex<S: TraceSink, F: FaultHook>(
 
 /// Runs CSLC on the DPU module.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every host/DMA transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] when a sub-band slot exceeds an MRAM bank, the
 /// working set exceeds WRAM, host memory is exhausted, or the FFT length
 /// is not a power of two.
-pub fn run(cfg: &DpuConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &DpuConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every
-/// host/DMA transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &DpuConfig,
     workload: &CslcWorkload,
     sink: S,
@@ -239,18 +220,20 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = run(&DpuConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
     }
 
     #[test]
     fn emulated_fp_dominates_the_pipeline() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&DpuConfig::paper(), &w).unwrap();
+        let run = run(&DpuConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.breakdown.get("tasklet").get() > 0);
         assert!(run.breakdown.get("mram_dma").get() > 0);
         // Software FP: the pipeline term beats the bank DMA term.
@@ -263,7 +246,7 @@ mod tests {
         cfg.ranks = 1;
         cfg.dpus_per_rank = 2; // 7 sub-bands over 2 DPUs -> 4 slots
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&cfg, &w).unwrap();
+        let run = run(&cfg, &w, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE));
     }
 
@@ -272,6 +255,6 @@ mod tests {
         let mut cfg = DpuConfig::paper();
         cfg.host_mem_words = 4096;
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -12,8 +12,8 @@ use triarch_fft::ops::OpCount;
 use triarch_fft::{Cf32, Fft};
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, KernelRun, SimError, WordMemory};
 
 use crate::config::ImagineConfig;
@@ -60,35 +60,16 @@ fn srf_write_complex<S: TraceSink, F: FaultHook>(
 
 /// Runs CSLC on Imagine.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] when the working set exceeds the SRF or off-chip
 /// memory, or the FFT length is not a power of two.
-pub fn run(cfg: &ImagineConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ImagineConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ImagineConfig,
     workload: &CslcWorkload,
     sink: S,
@@ -229,18 +210,20 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = run(&ImagineConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
     }
 
     #[test]
     fn kernel_and_comm_cycles_present() {
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        let run = run(&ImagineConfig::paper(), &w).unwrap();
+        let run = run(&ImagineConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.breakdown.get("kernel").get() > 0);
         assert!(run.breakdown.get("comm").get() > 0, "parallel FFTs must pay comm");
         assert!(run.breakdown.get("prologue").get() > 0);
@@ -259,6 +242,6 @@ mod tests {
         let mut cfg = ImagineConfig::paper();
         cfg.mem_words = 4096;
         let w = CslcWorkload::new(CslcConfig::small(), 6).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -4,6 +4,8 @@ use proptest::prelude::*;
 use triarch_imagine::{programs, ImagineConfig};
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 use triarch_simcore::Verification;
 
 proptest! {
@@ -13,7 +15,7 @@ proptest! {
     #[test]
     fn corner_turn_bit_exact(rows in 1usize..96, cols in 1usize..96, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        let run = programs::corner_turn::run(&ImagineConfig::paper(), &w).unwrap();
+        let run = programs::corner_turn::run(&ImagineConfig::paper(), &w, NullSink, NoFaults).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -25,11 +27,11 @@ proptest! {
         dwells in 1usize..4,
         seed in any::<u64>(),
     ) {
-        use programs::beam_steering::{run_with_table_placement, TablePlacement};
+        use programs::beam_steering::{run, TablePlacement};
         let w = BeamSteeringWorkload::new(elements, 2, dwells, seed).unwrap();
         let cfg = ImagineConfig::paper();
-        let dram = run_with_table_placement(&cfg, &w, TablePlacement::Dram).unwrap();
-        let srf = run_with_table_placement(&cfg, &w, TablePlacement::SrfResident).unwrap();
+        let dram = run(&cfg, &w, TablePlacement::Dram, NullSink, NoFaults).unwrap();
+        let srf = run(&cfg, &w, TablePlacement::SrfResident, NullSink, NoFaults).unwrap();
         prop_assert_eq!(dram.verification, Verification::BitExact);
         prop_assert_eq!(srf.verification, Verification::BitExact);
         prop_assert!(srf.cycles <= dram.cycles);
@@ -39,11 +41,11 @@ proptest! {
     #[test]
     fn narrower_memory_interface_never_helps(seed in any::<u64>(), wpc in 1u32..2) {
         let w = CornerTurnWorkload::with_dims(64, 64, seed).unwrap();
-        let fast = programs::corner_turn::run(&ImagineConfig::paper(), &w).unwrap().cycles;
+        let fast = programs::corner_turn::run(&ImagineConfig::paper(), &w, NullSink, NoFaults).unwrap().cycles;
         let mut cfg = ImagineConfig::paper();
         cfg.dram.seq_words_per_cycle = wpc;
         cfg.dram.strided_words_per_cycle = wpc;
-        let slow = programs::corner_turn::run(&cfg, &w).unwrap().cycles;
+        let slow = programs::corner_turn::run(&cfg, &w, NullSink, NoFaults).unwrap().cycles;
         prop_assert!(slow >= fast);
     }
 }

@@ -45,4 +45,4 @@ pub mod verify;
 pub use beam_steering::BeamSteeringWorkload;
 pub use corner_turn::CornerTurnWorkload;
 pub use cslc::CslcWorkload;
-pub use machine::{Kernel, SignalMachine, WorkloadSet};
+pub use machine::{Kernel, KernelInput, Probe, Program, SignalMachine, WorkloadSet};

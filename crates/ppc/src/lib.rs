@@ -15,13 +15,13 @@
 //! # Example
 //!
 //! ```
-//! use triarch_kernels::{CornerTurnWorkload, SignalMachine};
+//! use triarch_kernels::{CornerTurnWorkload, Probe, SignalMachine};
 //! use triarch_ppc::Ppc;
 //!
 //! # fn main() -> Result<(), triarch_simcore::SimError> {
 //! let mut scalar = Ppc::scalar()?;
 //! let workload = CornerTurnWorkload::with_dims(64, 64, 7)?;
-//! let run = scalar.corner_turn(&workload)?;
+//! let run = scalar.run_with((&workload).into(), Probe::default())?;
 //! assert!(run.verification.is_ok(0.0));
 //! # Ok(())
 //! # }
@@ -39,9 +39,9 @@ pub use config::PpcConfig;
 pub use machine::PpcMachine;
 pub use programs::Variant;
 
-use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload, SignalMachine};
+use triarch_kernels::{KernelInput, Probe, Program, SignalMachine};
 use triarch_simcore::faults::FaultHook;
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{CycleBudget, KernelRun, MachineInfo, SimError};
 
 /// The G4 baseline machine in either scalar or AltiVec form.
@@ -98,6 +98,23 @@ impl Ppc {
     }
 }
 
+impl Program for Ppc {
+    fn execute<S: TraceSink, F: FaultHook>(
+        &self,
+        input: KernelInput<'_>,
+        sink: S,
+        faults: F,
+    ) -> Result<KernelRun, SimError> {
+        use programs::{beam_steering, corner_turn, cslc};
+        let cfg = &self.config;
+        match input {
+            KernelInput::CornerTurn(w) => corner_turn::run(cfg, w, self.variant, sink, faults),
+            KernelInput::Cslc(w) => cslc::run(cfg, w, self.variant, sink, faults),
+            KernelInput::BeamSteering(w) => beam_steering::run(cfg, w, self.variant, sink, faults),
+        }
+    }
+}
+
 impl SignalMachine for Ppc {
     fn info(&self) -> &MachineInfo {
         &self.info
@@ -107,64 +124,12 @@ impl SignalMachine for Ppc {
         self.config.budget = budget;
     }
 
-    fn corner_turn(&mut self, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run(&self.config, workload, self.variant)
-    }
-
-    fn cslc(&mut self, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-        programs::cslc::run(&self.config, workload, self.variant)
-    }
-
-    fn beam_steering(&mut self, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run(&self.config, workload, self.variant)
-    }
-
-    fn corner_turn_traced(
+    fn run_with(
         &mut self,
-        workload: &CornerTurnWorkload,
-        sink: &mut dyn TraceSink,
+        input: KernelInput<'_>,
+        probe: Probe<'_>,
     ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn cslc_traced(
-        &mut self,
-        workload: &CslcWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn beam_steering_traced(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_traced(&self.config, workload, self.variant, sink)
-    }
-
-    fn corner_turn_faulted(
-        &mut self,
-        workload: &CornerTurnWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::corner_turn::run_faulted(&self.config, workload, self.variant, NullSink, faults)
-    }
-
-    fn cslc_faulted(
-        &mut self,
-        workload: &CslcWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::cslc::run_faulted(&self.config, workload, self.variant, NullSink, faults)
-    }
-
-    fn beam_steering_faulted(
-        &mut self,
-        workload: &BeamSteeringWorkload,
-        faults: &mut dyn FaultHook,
-    ) -> Result<KernelRun, SimError> {
-        programs::beam_steering::run_faulted(&self.config, workload, self.variant, NullSink, faults)
+        probe.run(self, input)
     }
 }
 
@@ -180,7 +145,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triarch_kernels::WorkloadSet;
+    use triarch_kernels::{Kernel, WorkloadSet};
 
     #[test]
     fn identities_match_table2() {
@@ -196,10 +161,10 @@ mod tests {
     fn small_workloads_verify_on_both_variants() {
         for mut m in [Ppc::scalar().unwrap(), Ppc::altivec().unwrap()] {
             let w = WorkloadSet::small(4).unwrap();
-            assert!(m.corner_turn(&w.corner_turn).unwrap().verification.is_ok(0.0));
-            assert!(m.beam_steering(&w.beam_steering).unwrap().verification.is_ok(0.0));
+            assert!(m.run(Kernel::CornerTurn, &w).unwrap().verification.is_ok(0.0));
+            assert!(m.run(Kernel::BeamSteering, &w).unwrap().verification.is_ok(0.0));
             assert!(m
-                .cslc(&w.cslc)
+                .run(Kernel::Cslc, &w)
                 .unwrap()
                 .verification
                 .is_ok(triarch_kernels::verify::CSLC_TOLERANCE));

@@ -8,8 +8,8 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
 
 use super::Variant;
@@ -18,39 +18,15 @@ use crate::machine::PpcMachine;
 
 /// Runs the corner turn on the G4.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at the memory transfer of each output row and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for a degenerate configuration.
-pub fn run(
-    cfg: &PpcConfig,
-    workload: &CornerTurnWorkload,
-    variant: Variant,
-) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, variant, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &PpcConfig,
-    workload: &CornerTurnWorkload,
-    variant: Variant,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, variant, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at the memory
-/// transfer of each output row and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &PpcConfig,
     workload: &CornerTurnWorkload,
     variant: Variant,
@@ -116,13 +92,15 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn both_variants_are_bit_exact() {
         let w = CornerTurnWorkload::with_dims(50, 70, 2).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = run(&PpcConfig::paper(), &w, v, NullSink, NoFaults).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{v:?}");
         }
     }
@@ -131,8 +109,8 @@ mod tests {
     fn altivec_barely_helps_the_corner_turn() {
         // Power-of-two dimensions trigger the set-aliasing wall.
         let w = CornerTurnWorkload::with_dims(512, 512, 1).unwrap();
-        let scalar = run(&PpcConfig::paper(), &w, Variant::Scalar).unwrap();
-        let altivec = run(&PpcConfig::paper(), &w, Variant::Altivec).unwrap();
+        let scalar = run(&PpcConfig::paper(), &w, Variant::Scalar, NullSink, NoFaults).unwrap();
+        let altivec = run(&PpcConfig::paper(), &w, Variant::Altivec, NullSink, NoFaults).unwrap();
         let speedup = scalar.cycles.ratio(altivec.cycles);
         assert!(speedup > 1.0 && speedup < 1.6, "speedup {speedup}");
         // Store stalls dominate both.

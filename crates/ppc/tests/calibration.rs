@@ -3,6 +3,8 @@
 
 use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload};
 use triarch_ppc::{programs, PpcConfig, Variant};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 
 fn assert_band(label: &str, ours_kc: f64, paper_kc: f64) {
     let ratio = ours_kc / paper_kc;
@@ -19,19 +21,19 @@ fn paper_size_calibration() {
     ];
     for (variant, t_ct, t_cslc, t_bs) in cells {
         let w = CornerTurnWorkload::paper(2).unwrap();
-        let run = programs::corner_turn::run(&cfg, &w, variant).unwrap();
+        let run = programs::corner_turn::run(&cfg, &w, variant, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(0.0));
         assert_band(&format!("{variant:?} corner turn"), run.cycles.to_kilocycles(), t_ct);
         // The baseline wall: stores dominate via cache-set thrash.
         assert!(run.breakdown.fraction("store-stall") > 0.5, "{}", run.breakdown);
 
         let w = CslcWorkload::paper(4).unwrap();
-        let run = programs::cslc::run(&cfg, &w, variant).unwrap();
+        let run = programs::cslc::run(&cfg, &w, variant, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
         assert_band(&format!("{variant:?} CSLC"), run.cycles.to_kilocycles(), t_cslc);
 
         let w = BeamSteeringWorkload::paper(3).unwrap();
-        let run = programs::beam_steering::run(&cfg, &w, variant).unwrap();
+        let run = programs::beam_steering::run(&cfg, &w, variant, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(0.0));
         assert_band(&format!("{variant:?} beam steering"), run.cycles.to_kilocycles(), t_bs);
     }

@@ -4,6 +4,8 @@ use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_ppc::{programs, PpcConfig, Variant};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 use triarch_simcore::Verification;
 
 proptest! {
@@ -15,7 +17,7 @@ proptest! {
     fn corner_turn_bit_exact(rows in 1usize..80, cols in 1usize..80, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = programs::corner_turn::run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = programs::corner_turn::run(&PpcConfig::paper(), &w, v, NullSink, NoFaults).unwrap();
             prop_assert_eq!(run.verification, Verification::BitExact);
         }
     }
@@ -29,7 +31,7 @@ proptest! {
     ) {
         let w = BeamSteeringWorkload::new(elements, directions, 2, seed).unwrap();
         for v in [Variant::Scalar, Variant::Altivec] {
-            let run = programs::beam_steering::run(&PpcConfig::paper(), &w, v).unwrap();
+            let run = programs::beam_steering::run(&PpcConfig::paper(), &w, v, NullSink, NoFaults).unwrap();
             prop_assert_eq!(run.verification, Verification::BitExact);
         }
     }
@@ -39,10 +41,10 @@ proptest! {
     #[test]
     fn altivec_never_loses(rows in 8usize..64, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, rows, seed).unwrap();
-        let scalar = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar)
+        let scalar = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar, NullSink, NoFaults)
             .unwrap()
             .cycles;
-        let altivec = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Altivec)
+        let altivec = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Altivec, NullSink, NoFaults)
             .unwrap()
             .cycles;
         prop_assert!(altivec <= scalar);
@@ -53,12 +55,12 @@ proptest! {
     #[test]
     fn larger_miss_penalty_never_helps(penalty in 28u64..100, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(64, 64, seed).unwrap();
-        let base = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar)
+        let base = programs::corner_turn::run(&PpcConfig::paper(), &w, Variant::Scalar, NullSink, NoFaults)
             .unwrap()
             .cycles;
         let mut cfg = PpcConfig::paper();
         cfg.l2_store_miss_penalty = penalty;
-        let slower = programs::corner_turn::run(&cfg, &w, Variant::Scalar).unwrap().cycles;
+        let slower = programs::corner_turn::run(&cfg, &w, Variant::Scalar, NullSink, NoFaults).unwrap().cycles;
         prop_assert!(slower >= base);
     }
 }

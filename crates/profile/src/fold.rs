@@ -12,7 +12,7 @@
 //!
 //! * Only **counted** spans contribute (see `TraceEvent::Span`);
 //!   uncounted visualization detail and instant/counter events are
-//!   skipped, exactly as `triarch_trace::aggregate` does.
+//!   skipped.
 //! * Leaves are keyed `(category, name)`; weights are summed cycle
 //!   durations.
 //! * Frames are sanitized through [`sanitize_frame`]: any character
@@ -20,7 +20,7 @@
 //!   the weight-separating space can never be forged by a label. If two
 //!   labels collide after sanitization their weights merge (engines
 //!   keep labels [`is_fold_safe`] so this never happens in practice —
-//!   each engine crate pins that with a hygiene test).
+//!   a table-driven hygiene test over the whole grid pins that).
 //! * Output lines are sorted by the sanitized stack string, making the
 //!   rendering byte-stable regardless of event arrival order.
 
@@ -32,8 +32,8 @@ use triarch_trace::{TraceEvent, TraceSink};
 /// Whether `label` passes through [`sanitize_frame`] unchanged.
 ///
 /// Engines keep every track/category/name label fold-safe so collapsed
-/// stacks never merge distinct labels; each engine crate has a hygiene
-/// test asserting this over a traced run.
+/// stacks never merge distinct labels; a hygiene test asserts this over
+/// a traced run of every grid cell.
 #[must_use]
 pub fn is_fold_safe(label: &str) -> bool {
     !label.is_empty() && label.chars().all(is_safe_char)
@@ -272,6 +272,24 @@ mod tests {
         assert_eq!(fold.len(), 2);
         assert_eq!(fold.events_observed(), 5);
         assert!(!fold.is_empty());
+    }
+
+    #[test]
+    fn events_observed_counts_every_event_kind() {
+        let events = [
+            span("memory", "vld", 10, true),
+            span("memory", "hidden", 90, false),
+            TraceEvent::Instant { track: "t", name: "mark", at: 5 },
+            TraceEvent::Counter { track: "t", name: "rows", at: 7, value: 4.0 },
+        ];
+        let mut sink = FoldSink::new();
+        for e in &events {
+            sink.record(*e);
+        }
+        assert_eq!(sink.fold().events_observed(), 4);
+        assert_eq!(sink.fold().total(), 10);
+        assert_eq!(Fold::new().events_observed(), 0);
+        assert!(Fold::new().is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use triarch_profile::{
     flamegraph_svg, is_fold_safe, sanitize_frame, CellProfile, Fold, FoldSink, ProfileDiff,
 };
-use triarch_trace::{aggregate, TraceEvent, TraceSink};
+use triarch_trace::{TraceEvent, TraceSink};
 
 /// Label tables used to build arbitrary events from indices (labels
 /// are `&'static str` by design).
@@ -41,11 +41,11 @@ fn cells_of(raw: &[RawCell]) -> Vec<CellProfile> {
 }
 
 proptest! {
-    /// The fold total equals the aggregate total (both count exactly
-    /// the counted spans), and per-category sums agree too — so the
-    /// collapsed stacks re-add to the engine's `CycleBreakdown`.
+    /// Folding is lossless: the total equals the sum of counted span
+    /// durations and each category total equals its own counted sum —
+    /// so the collapsed stacks re-add to the engine's `CycleBreakdown`.
     #[test]
-    fn fold_total_matches_aggregate(
+    fn fold_is_lossless(
         raw in proptest::collection::vec(
             (0usize..4, 0usize..5, 0u64..1_000_000, 0u64..10_000, any::<bool>()),
             0..200,
@@ -53,10 +53,19 @@ proptest! {
     ) {
         let events: Vec<TraceEvent> = raw.iter().copied().map(span_of).collect();
         let fold = Fold::from_events(&events);
-        let agg = aggregate(&events);
-        prop_assert_eq!(fold.total(), agg.total());
+        let counted = |category: Option<&str>| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Span { category: c, dur, counted: true, .. }
+                        if category.is_none_or(|want| want == c) => Some(dur),
+                    _ => None,
+                })
+                .sum()
+        };
+        prop_assert_eq!(fold.total(), counted(None));
         for category in CATEGORIES {
-            prop_assert_eq!(fold.category_total(category), agg.get(category));
+            prop_assert_eq!(fold.category_total(category), counted(Some(category)));
         }
     }
 

@@ -9,8 +9,8 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, KernelRun, SimError};
 
 use crate::config::RawConfig;
@@ -18,34 +18,15 @@ use crate::machine::RawMachine;
 
 /// Runs beam steering on Raw.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if tables and output exceed off-chip memory.
-pub fn run(cfg: &RawConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &RawConfig,
     workload: &BeamSteeringWorkload,
     sink: S,
@@ -126,19 +107,21 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(321, 4, 3, 11).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn no_load_store_issue_beyond_alu_ops() {
         let w = BeamSteeringWorkload::paper(11).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         // Stream mode: issue is pure ALU work — 6 instructions per output
         // on the busiest tile.
         let per_tile_outputs = (1608usize.div_ceil(16) * 4) as u64; // per dwell
@@ -152,7 +135,7 @@ mod tests {
     #[test]
     fn fewer_elements_than_tiles() {
         let w = BeamSteeringWorkload::new(5, 2, 1, 0).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 }

@@ -12,8 +12,8 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, KernelRun, SimError};
 
 use crate::config::RawConfig;
@@ -25,34 +25,15 @@ pub const ROW_PAD_WORDS: usize = 8;
 
 /// Runs the 16-tile blocked corner turn.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if the matrices do not fit off-chip memory.
-pub fn run(cfg: &RawConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &RawConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &RawConfig,
     workload: &CornerTurnWorkload,
     sink: S,
@@ -140,12 +121,14 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(96, 80, 4).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -153,7 +136,7 @@ mod tests {
     fn odd_sizes_and_partial_blocks() {
         for (r, c) in [(1usize, 1usize), (65, 3), (70, 130)] {
             let w = CornerTurnWorkload::with_dims(r, c, 1).unwrap();
-            let run = run(&RawConfig::paper(), &w).unwrap();
+            let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{r}x{c}");
         }
     }
@@ -161,7 +144,7 @@ mod tests {
     #[test]
     fn issue_rate_is_the_bound_not_memory() {
         let w = CornerTurnWorkload::with_dims(256, 256, 1).unwrap();
-        let run = run(&RawConfig::paper(), &w).unwrap();
+        let run = run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         // Paper Section 4.2: load/store issue rates limit performance;
         // the DRAM ports are not a bottleneck.
         assert!(run.breakdown.fraction("issue") > 0.7, "{}", run.breakdown);
@@ -176,6 +159,6 @@ mod tests {
         let mut cfg = RawConfig::paper();
         cfg.mem_words = 512;
         let w = CornerTurnWorkload::with_dims(64, 64, 0).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -3,6 +3,8 @@
 
 use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload};
 use triarch_raw::{programs, RawConfig};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 
 fn assert_band(label: &str, ours_kc: f64, paper_kc: f64) {
     let ratio = ours_kc / paper_kc;
@@ -15,7 +17,7 @@ fn paper_size_calibration() {
     let cfg = RawConfig::paper();
 
     let w = CornerTurnWorkload::paper(2).unwrap();
-    let run = programs::corner_turn::run(&cfg, &w).unwrap();
+    let run = programs::corner_turn::run(&cfg, &w, NullSink, NoFaults).unwrap();
     assert!(run.verification.is_ok(0.0));
     assert_band("Raw corner turn", run.cycles.to_kilocycles(), 146.0);
     // Paper §4.2: issue-rate-bound; DRAM ports are not a bottleneck, and
@@ -26,12 +28,14 @@ fn paper_size_calibration() {
     assert!((run.cycles.get() as f64) < ideal * 1.2);
 
     let w = BeamSteeringWorkload::paper(3).unwrap();
-    let run = programs::beam_steering::run(&cfg, &w).unwrap();
+    let run = programs::beam_steering::run(&cfg, &w, NullSink, NoFaults).unwrap();
     assert!(run.verification.is_ok(0.0));
     assert_band("Raw beam steering", run.cycles.to_kilocycles(), 19.0);
 
     let w = CslcWorkload::paper(4).unwrap();
-    let run = programs::cslc::run(&cfg, &w).unwrap();
+    let run =
+        programs::cslc::run(&cfg, &w, programs::cslc::CslcMode::CacheMimd, NullSink, NoFaults)
+            .unwrap();
     assert!(run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     assert_band("Raw CSLC", run.cycles.to_kilocycles(), 357.0);
     // Paper §4.3: ~31.4% of peak; memory stalls below 10%.

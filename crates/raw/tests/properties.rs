@@ -5,6 +5,8 @@ use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::matmul::MatmulWorkload;
 use triarch_raw::{programs, RawConfig, TileId};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 use triarch_simcore::Verification;
 
 proptest! {
@@ -15,7 +17,7 @@ proptest! {
     #[test]
     fn corner_turn_bit_exact(rows in 1usize..130, cols in 1usize..130, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        let run = programs::corner_turn::run(&RawConfig::paper(), &w).unwrap();
+        let run = programs::corner_turn::run(&RawConfig::paper(), &w, NullSink, NoFaults).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -30,7 +32,7 @@ proptest! {
         let w = BeamSteeringWorkload::new(elements, 2, 2, seed).unwrap();
         let mut cfg = RawConfig::paper();
         cfg.mesh_width = width;
-        let run = programs::beam_steering::run(&cfg, &w).unwrap();
+        let run = programs::beam_steering::run(&cfg, &w, NullSink, NoFaults).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -50,8 +52,8 @@ proptest! {
         small.mesh_width = 2;
         let mut large = RawConfig::paper();
         large.mesh_width = 4;
-        let few = programs::beam_steering::run(&small, &w).unwrap().cycles;
-        let many = programs::beam_steering::run(&large, &w).unwrap().cycles;
+        let few = programs::beam_steering::run(&small, &w, NullSink, NoFaults).unwrap().cycles;
+        let many = programs::beam_steering::run(&large, &w, NullSink, NoFaults).unwrap().cycles;
         prop_assert!(many <= few, "16 tiles ({many}) slower than 4 ({few})");
     }
 

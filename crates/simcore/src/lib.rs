@@ -20,8 +20,7 @@
 //!
 //! Tracing support lives in the dependency-free `triarch-trace` crate
 //! (re-exported here as [`trace`]); this crate adds the glue between the
-//! two vocabularies: [`CycleBreakdown::from_trace`] converts trace-derived
-//! totals back into a breakdown, and
+//! two vocabularies:
 //! [`DramModel::transfer_observed`](dram::DramModel::transfer_observed)
 //! emits the DRAM model's cost decomposition as uncounted trace spans.
 //!

@@ -108,28 +108,4 @@ proptest! {
         right.merge(&bc);
         prop_assert_eq!(left, right);
     }
-
-    /// Round trip: a breakdown emitted as counted spans and folded back
-    /// through the trace aggregator reproduces itself exactly.
-    #[test]
-    fn breakdown_survives_the_trace_round_trip(
-        entries in proptest::collection::vec((0usize..4, 1u64..1000), 0..20),
-    ) {
-        use triarch_simcore::trace::{aggregate, TraceEvent};
-        let cats = ["memory", "compute", "startup", "stall"];
-        let mut bd = CycleBreakdown::new();
-        let mut events = Vec::new();
-        let mut t = 0u64;
-        for (cat, v) in &entries {
-            bd.charge(cats[*cat], Cycles::new(*v));
-            events.push(TraceEvent::Span {
-                track: "m", category: cats[*cat], name: "n",
-                start: t, dur: *v, counted: true,
-            });
-            t += *v;
-        }
-        let recovered = CycleBreakdown::from_trace(&aggregate(&events));
-        prop_assert_eq!(&recovered, &bd);
-        prop_assert_eq!(recovered.total(), Cycles::new(t));
-    }
 }

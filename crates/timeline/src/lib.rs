@@ -23,7 +23,7 @@
 //!
 //! **Conservation.** Summing a category's series over all windows (and
 //! tracks) reproduces the engine's `CycleBreakdown` entry for that
-//! category exactly — drift 0, the same law the trace aggregator pins.
+//! category exactly — drift 0, the same law the trace fold pins.
 //!
 //! Uncounted spans (overlap-hidden work, the DRAM transfer decomposition
 //! emitted by `triarch-simcore`) are kept in a separate *detail* plane:

@@ -11,8 +11,8 @@
 
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
 
 use crate::config::ViramConfig;
@@ -29,34 +29,15 @@ const V_OUT: usize = 6;
 
 /// Runs beam steering on VIRAM.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if tables and output do not fit in on-chip DRAM.
-pub fn run(cfg: &ViramConfig, workload: &BeamSteeringWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &BeamSteeringWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &BeamSteeringWorkload,
     sink: S,
@@ -128,26 +109,28 @@ pub fn run_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn output_is_bit_exact() {
         let w = BeamSteeringWorkload::new(200, 4, 2, 9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn non_multiple_of_mvl_elements() {
         let w = BeamSteeringWorkload::new(65, 3, 1, 9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
     }
 
     #[test]
     fn pipeline_bound_is_majority_but_not_all() {
         let w = BeamSteeringWorkload::paper(9).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         // The slower pipe (memory: 3 words/output at 8 words/cycle)
         // bounds each block; the paper's equivalent statement is that the
         // lower bound is ~56% of simulated time, the rest being startup
@@ -162,6 +145,6 @@ mod tests {
         let mut cfg = ViramConfig::paper();
         cfg.dram_words = 16;
         let w = BeamSteeringWorkload::new(200, 4, 2, 9).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -22,8 +22,8 @@
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
 use triarch_kernels::verify::verify_words;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
 
 use crate::config::ViramConfig;
@@ -63,50 +63,30 @@ impl PanelLayout {
     }
 }
 
-/// Runs the corner turn: resident in on-chip DRAM when it fits, streamed
-/// from off-chip in row bands otherwise (paper Section 4.6: "If the
-/// application size is larger than the on-chip DRAM, the data needs to
-/// come from off-chip memory and VIRAM would lose much of its
-/// advantage").
+/// Runs the corner turn: resident in on-chip DRAM when it fits (the
+/// paper's measured configuration), streamed from off-chip in row bands
+/// otherwise (paper Section 4.6: "If the application size is larger than
+/// the on-chip DRAM, the data needs to come from off-chip memory and
+/// VIRAM would lose much of its advantage").
+///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if even a single row band cannot fit on chip or
-/// the configuration is degenerate.
-pub fn run(cfg: &ViramConfig, workload: &CornerTurnWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
+/// the configuration is degenerate. Also [`SimError::DetectedFault`] /
 /// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
     faults: F,
 ) -> Result<KernelRun, SimError> {
     if fits_on_chip(cfg, workload.rows(), workload.cols()) {
-        resident_faulted(cfg, workload, sink, faults)
+        resident(cfg, workload, sink, faults)
     } else {
-        streaming_faulted(cfg, workload, sink, faults)
+        streaming(cfg, workload, sink, faults)
     }
 }
 
@@ -120,18 +100,7 @@ fn fits_on_chip(cfg: &ViramConfig, rows: usize, cols: usize) -> bool {
 }
 
 /// The paper's measured configuration: the matrix is resident on chip.
-///
-/// # Errors
-///
-/// Returns [`SimError::Capacity`] when the padded matrix does not fit.
-pub fn run_resident(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-) -> Result<KernelRun, SimError> {
-    resident_faulted(cfg, workload, NullSink, NoFaults)
-}
-
-fn resident_faulted<S: TraceSink, F: FaultHook>(
+fn resident<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
@@ -199,18 +168,7 @@ fn transpose_on_chip<S: TraceSink, F: FaultHook>(
 
 /// Off-chip streaming fallback: row bands DMA in at the off-chip rate,
 /// transpose on chip, and DMA back out.
-///
-/// # Errors
-///
-/// Returns [`SimError::Capacity`] when even one row band cannot fit.
-pub fn run_streaming(
-    cfg: &ViramConfig,
-    workload: &CornerTurnWorkload,
-) -> Result<KernelRun, SimError> {
-    streaming_faulted(cfg, workload, NullSink, NoFaults)
-}
-
-fn streaming_faulted<S: TraceSink, F: FaultHook>(
+fn streaming<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CornerTurnWorkload,
     sink: S,
@@ -268,12 +226,14 @@ fn streaming_faulted<S: TraceSink, F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
     use triarch_simcore::Verification;
 
     #[test]
     fn small_transpose_is_bit_exact() {
         let w = CornerTurnWorkload::with_dims(32, 48, 5).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert_eq!(run.verification, Verification::BitExact);
         assert_eq!(run.mem_words, 2 * 32 * 48);
     }
@@ -282,7 +242,7 @@ mod tests {
     fn non_square_and_tiny_matrices() {
         for (r, c) in [(1usize, 1usize), (1, 64), (64, 1), (7, 13), (65, 33)] {
             let w = CornerTurnWorkload::with_dims(r, c, 1).unwrap();
-            let run = run(&ViramConfig::paper(), &w).unwrap();
+            let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
             assert_eq!(run.verification, Verification::BitExact, "{r}x{c}");
         }
     }
@@ -293,13 +253,13 @@ mod tests {
         // falls back to off-chip streaming and pays the 2-words/cycle DMA
         // toll (paper Section 4.6).
         let big = CornerTurnWorkload::with_dims(2048, 2048, 0).unwrap();
-        let run_big = run(&ViramConfig::paper(), &big).unwrap();
+        let run_big = run(&ViramConfig::paper(), &big, NullSink, NoFaults).unwrap();
         assert_eq!(run_big.verification, Verification::BitExact);
         assert!(run_big.breakdown.get("dma").get() > 0);
         // 4x the data of the resident 1024 case, but far more than 4x the
         // cycles: the advantage is gone.
         let resident = CornerTurnWorkload::with_dims(1024, 1024, 0).unwrap();
-        let run_res = run(&ViramConfig::paper(), &resident).unwrap();
+        let run_res = run(&ViramConfig::paper(), &resident, NullSink, NoFaults).unwrap();
         assert_eq!(run_res.breakdown.get("dma").get(), 0);
         assert!(run_big.cycles.ratio(run_res.cycles) > 6.0);
     }
@@ -307,14 +267,14 @@ mod tests {
     #[test]
     fn row_wider_than_on_chip_memory_is_capacity_error() {
         let w = CornerTurnWorkload::with_dims(2, 2_000_000, 0).unwrap();
-        let err = run(&ViramConfig::paper(), &w).unwrap_err();
+        let err = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap_err();
         assert!(matches!(err, SimError::Capacity { .. }));
     }
 
     #[test]
     fn strided_loads_dominate_cycles() {
         let w = CornerTurnWorkload::with_dims(256, 256, 2).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         // Memory is the only real consumer; compute category is absent.
         assert!(run.breakdown.fraction("memory") > 0.5);
         assert_eq!(run.breakdown.get("compute").get(), 0);

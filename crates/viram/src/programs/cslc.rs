@@ -8,8 +8,8 @@
 use triarch_fft::Cf32;
 use triarch_kernels::cslc::CslcWorkload;
 use triarch_kernels::verify::verify_complex;
-use triarch_simcore::faults::{FaultHook, NoFaults};
-use triarch_simcore::trace::{NullSink, TraceSink};
+use triarch_simcore::faults::FaultHook;
+use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
 
 use super::vfft::{regs, VfftPlan};
@@ -18,35 +18,16 @@ use crate::vector::{FpOp, VectorUnit};
 
 /// Runs the CSLC kernel on VIRAM.
 ///
+/// Emits cycle-attribution trace events into `sink` and consults `faults`
+/// at every DRAM transfer and applies its effects.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if the working set does not fit in on-chip DRAM or
 /// the FFT length is unsupported by the vector register file.
-pub fn run(cfg: &ViramConfig, workload: &CslcWorkload) -> Result<KernelRun, SimError> {
-    run_traced(cfg, workload, NullSink)
-}
-
-/// Like [`run`], but emits cycle-attribution trace events into `sink`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_traced<S: TraceSink>(
-    cfg: &ViramConfig,
-    workload: &CslcWorkload,
-    sink: S,
-) -> Result<KernelRun, SimError> {
-    run_faulted(cfg, workload, sink, NoFaults)
-}
-
-/// Like [`run_traced`], but additionally consults `faults` at every DRAM
-/// transfer and applies its effects.
-///
-/// # Errors
-///
-/// Same as [`run`], plus [`SimError::DetectedFault`] /
-/// [`SimError::BudgetExceeded`] from the hook and watchdog.
-pub fn run_faulted<S: TraceSink, F: FaultHook>(
+/// Also [`SimError::DetectedFault`] / [`SimError::BudgetExceeded`]
+/// from the hook and watchdog.
+pub fn run<S: TraceSink, F: FaultHook>(
     cfg: &ViramConfig,
     workload: &CslcWorkload,
     sink: S,
@@ -202,11 +183,13 @@ mod tests {
     use super::*;
     use triarch_kernels::cslc::CslcConfig;
     use triarch_kernels::verify::CSLC_TOLERANCE;
+    use triarch_simcore::faults::NoFaults;
+    use triarch_simcore::trace::NullSink;
 
     #[test]
     fn small_cslc_verifies() {
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.verification.is_ok(CSLC_TOLERANCE), "{:?}", run.verification);
         assert!(run.breakdown.get("shuffle").get() > 0);
         assert!(run.breakdown.get("compute").get() > 0);
@@ -216,7 +199,7 @@ mod tests {
     fn fp_restriction_shows_in_compute() {
         // FP executes at 8/cycle: at least ops/8 compute cycles.
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        let run = run(&ViramConfig::paper(), &w).unwrap();
+        let run = run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         assert!(run.breakdown.get("compute").get() >= run.ops_executed / 16);
     }
 
@@ -225,6 +208,6 @@ mod tests {
         let mut cfg = ViramConfig::paper();
         cfg.dram_words = 1024;
         let w = CslcWorkload::new(CslcConfig::small(), 4).unwrap();
-        assert!(matches!(run(&cfg, &w), Err(SimError::Capacity { .. })));
+        assert!(matches!(run(&cfg, &w, NullSink, NoFaults), Err(SimError::Capacity { .. })));
     }
 }

@@ -2,6 +2,8 @@
 //! reproduction band of the published numbers (see DESIGN.md §5).
 
 use triarch_kernels::{BeamSteeringWorkload, CornerTurnWorkload, CslcWorkload};
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 use triarch_viram::{programs, ViramConfig};
 
 fn assert_band(label: &str, ours_kc: f64, paper_kc: f64) {
@@ -15,18 +17,18 @@ fn paper_size_calibration() {
     let cfg = ViramConfig::paper();
 
     let w = CornerTurnWorkload::paper(2).unwrap();
-    let run = programs::corner_turn::run(&cfg, &w).unwrap();
+    let run = programs::corner_turn::run(&cfg, &w, NullSink, NoFaults).unwrap();
     assert!(run.verification.is_ok(0.0));
     assert_band("VIRAM corner turn", run.cycles.to_kilocycles(), 554.0);
     println!("{}", run.breakdown);
 
     let w = BeamSteeringWorkload::paper(3).unwrap();
-    let run = programs::beam_steering::run(&cfg, &w).unwrap();
+    let run = programs::beam_steering::run(&cfg, &w, NullSink, NoFaults).unwrap();
     assert!(run.verification.is_ok(0.0));
     assert_band("VIRAM beam steering", run.cycles.to_kilocycles(), 35.0);
 
     let w = CslcWorkload::paper(4).unwrap();
-    let run = programs::cslc::run(&cfg, &w).unwrap();
+    let run = programs::cslc::run(&cfg, &w, NullSink, NoFaults).unwrap();
     assert!(run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     assert_band("VIRAM CSLC", run.cycles.to_kilocycles(), 424.0);
     // Paper §4.3: shuffle instructions are a real cost on the FFT.

@@ -4,6 +4,8 @@
 use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
+use triarch_simcore::faults::NoFaults;
+use triarch_simcore::trace::NullSink;
 use triarch_simcore::Verification;
 use triarch_viram::{programs, ViramConfig};
 
@@ -14,7 +16,7 @@ proptest! {
     #[test]
     fn corner_turn_bit_exact(rows in 1usize..96, cols in 1usize..96, seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        let run = programs::corner_turn::run(&ViramConfig::paper(), &w).unwrap();
+        let run = programs::corner_turn::run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
         prop_assert!(run.cycles.get() > 0);
     }
@@ -29,7 +31,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let w = BeamSteeringWorkload::new(elements, directions, dwells, seed).unwrap();
-        let run = programs::beam_steering::run(&ViramConfig::paper(), &w).unwrap();
+        let run = programs::beam_steering::run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap();
         prop_assert_eq!(run.verification, Verification::BitExact);
     }
 
@@ -37,10 +39,10 @@ proptest! {
     #[test]
     fn fewer_address_generators_never_help(seed in any::<u64>()) {
         let w = CornerTurnWorkload::with_dims(64, 64, seed).unwrap();
-        let fast = programs::corner_turn::run(&ViramConfig::paper(), &w).unwrap().cycles;
+        let fast = programs::corner_turn::run(&ViramConfig::paper(), &w, NullSink, NoFaults).unwrap().cycles;
         let mut cfg = ViramConfig::paper();
         cfg.dram.strided_words_per_cycle = 1;
-        let slow = programs::corner_turn::run(&cfg, &w).unwrap().cycles;
+        let slow = programs::corner_turn::run(&cfg, &w, NullSink, NoFaults).unwrap().cycles;
         prop_assert!(slow >= fast);
     }
 }

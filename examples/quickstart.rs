@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use triarch_kernels::{CornerTurnWorkload, SignalMachine};
+use triarch_kernels::{CornerTurnWorkload, Probe, SignalMachine};
 use triarch_viram::Viram;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut machine = Viram::new()?;
     println!("machine: {}", machine.info());
 
-    let run = machine.corner_turn(&workload)?;
+    let run = machine.run_with((&workload).into(), Probe::default())?;
     println!("\ncorner turn on VIRAM:");
     println!("{run}");
 

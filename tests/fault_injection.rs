@@ -12,11 +12,15 @@
 //! 3. **Bounded termination** — a deliberately tiny cycle budget makes
 //!    every machine × kernel run abort with
 //!    [`SimError::BudgetExceeded`] instead of running unboundedly.
+//! 4. **Observed faults** — a run that is faulted and traced at once
+//!    attributes its ECC and retry cycles to counted spans, so a fold of
+//!    the trace still re-adds to the run's cycles and breakdown.
 
 use proptest::prelude::*;
 use triarch_core::arch::Architecture;
 use triarch_core::faultsweep;
-use triarch_kernels::{Kernel, WorkloadSet};
+use triarch_kernels::{Kernel, Probe, WorkloadSet};
+use triarch_profile::FoldSink;
 use triarch_simcore::faults::{FaultInjector, FaultPlan, NoFaults};
 use triarch_simcore::{CycleBudget, SimError};
 
@@ -66,7 +70,9 @@ fn nofaults_reproduces_unfaulted_cycles_exactly() {
             let plain = arch.machine().unwrap().run(kernel, &workloads).unwrap();
             let mut machine = arch.machine().unwrap();
             machine.set_cycle_budget(CycleBudget::UNLIMITED);
-            let faulted = machine.run_faulted(kernel, &workloads, &mut NoFaults).unwrap();
+            let faulted = machine
+                .run_with(workloads.get(kernel), Probe::default().with_faults(&mut NoFaults))
+                .unwrap();
             assert_eq!(
                 plain.cycles, faulted.cycles,
                 "{arch}/{kernel}: NoFaults changed the cycle count"
@@ -91,11 +97,9 @@ fn silent_injector_matches_unfaulted_cycles() {
     for arch in Architecture::ALL {
         let plain = arch.machine().unwrap().run(Kernel::CornerTurn, &workloads).unwrap();
         let mut injector = FaultInjector::new(plan.clone());
-        let faulted = arch
-            .machine()
-            .unwrap()
-            .run_faulted(Kernel::CornerTurn, &workloads, &mut injector)
-            .unwrap();
+        let probe = Probe::default().with_faults(&mut injector);
+        let faulted =
+            arch.machine().unwrap().run_with((&workloads.corner_turn).into(), probe).unwrap();
         assert_eq!(injector.report().injected, 0, "{arch}: fault fired unexpectedly");
         assert_eq!(plain.cycles, faulted.cycles, "{arch}");
     }
@@ -111,7 +115,8 @@ fn tiny_budget_terminates_every_engine() {
         for kernel in Kernel::ALL {
             let mut machine = arch.machine().unwrap();
             machine.set_cycle_budget(CycleBudget::limited(10));
-            let result = machine.run_faulted(kernel, &workloads, &mut NoFaults);
+            let result = machine
+                .run_with(workloads.get(kernel), Probe::default().with_faults(&mut NoFaults));
             match result {
                 Err(SimError::BudgetExceeded { spent, limit }) => {
                     assert_eq!(limit, 10, "{arch}/{kernel}");
@@ -131,7 +136,7 @@ fn oversized_workload_trips_a_realistic_budget() {
     let mut machine = Architecture::Viram.machine().unwrap();
     machine.set_cycle_budget(CycleBudget::limited(1_000));
     let err = machine
-        .run_faulted(Kernel::CornerTurn, &workloads, &mut NoFaults)
+        .run_with(workloads.get(Kernel::CornerTurn), Probe::default().with_faults(&mut NoFaults))
         .expect_err("a 1024x1024 corner turn cannot fit in 1000 cycles");
     assert!(err.is_detected_abort(), "{err:?}");
     assert!(err.to_string().contains("budget"), "{err}");
@@ -151,4 +156,38 @@ fn budget_applies_to_plain_runs_too() {
             "{arch}: plain run ignored the budget: {result:?}"
         );
     }
+}
+
+/// A seeded injector and a folding sink in one probe, on every small
+/// cell: each run either aborts with a typed detected fault or watchdog
+/// trip, or its fold total equals its cycles and its `ecc` / `retry`
+/// fold categories equal its breakdown — fault-handling cycles are
+/// traced like any other work.
+#[test]
+fn faulted_runs_trace_their_ecc_and_retry_cycles() {
+    let workloads = WorkloadSet::small(42).unwrap();
+    let plan = FaultPlan { mean_words_between_faults: 1024, ..FaultPlan::new(7) };
+    let (mut completed, mut fault_cycles) = (0, 0);
+    for arch in Architecture::ALL {
+        for kernel in Kernel::ALL {
+            let mut injector = FaultInjector::new(plan.clone());
+            let mut sink = FoldSink::new();
+            let probe = Probe::default().with_sink(&mut sink).with_faults(&mut injector);
+            let run = match arch.machine().unwrap().run_with(workloads.get(kernel), probe) {
+                Ok(run) => run,
+                Err(SimError::DetectedFault { .. } | SimError::BudgetExceeded { .. }) => continue,
+                Err(e) => panic!("{arch}/{kernel}: untyped abort {e:?}"),
+            };
+            let fold = sink.into_fold();
+            assert_eq!(fold.total(), run.cycles.get(), "{arch}/{kernel}: fold drift");
+            for category in ["ecc", "retry"] {
+                let charged = run.breakdown.get(category).get();
+                assert_eq!(fold.category_total(category), charged, "{arch}/{kernel}: {category}");
+                fault_cycles += charged;
+            }
+            completed += 1;
+        }
+    }
+    assert!(completed > 0, "every cell aborted; nothing was checked");
+    assert!(fault_cycles > 0, "no run charged ECC or retry cycles; the plan is too quiet");
 }

@@ -11,7 +11,7 @@ use triarch_core::faultsweep;
 use triarch_core::htmlreport::{self, FoldedCell, ReportInputs};
 use triarch_core::roofline::Scorecard;
 use triarch_kernels::{Kernel, WorkloadSet};
-use triarch_profile::flamegraph_svg;
+use triarch_profile::{flamegraph_svg, is_fold_safe};
 
 const SEED: u64 = 42;
 
@@ -51,6 +51,21 @@ fn fold_totals_readd_to_breakdowns_with_drift_zero_on_all_cells() {
                 "{}: category '{category}'",
                 cell.label(),
             );
+        }
+    }
+}
+
+/// Span-label hygiene: every counted span on every cell uses fold-safe
+/// frame labels (`[A-Za-z0-9._/-]`), so collapsed stacks never need
+/// lossy sanitization and the flamegraph color keys stay 1:1 with the
+/// engines' `CycleBreakdown` categories.
+#[test]
+fn counted_span_labels_are_fold_safe_on_every_cell() {
+    for cell in &folds_at(1) {
+        assert!(!cell.fold.is_empty(), "{}: no counted spans", cell.label());
+        for (category, name, _) in cell.fold.iter() {
+            assert!(is_fold_safe(category), "{}: unsafe category '{category}'", cell.label());
+            assert!(is_fold_safe(name), "{}: unsafe span label '{name}'", cell.label());
         }
     }
 }

@@ -270,6 +270,16 @@ fn hostile_frames_get_typed_error_replies_not_hangs() {
     assert_eq!(code, "bad-request");
     assert!(message.contains("warp-drive"), "{message}");
 
+    // Deep nesting and an integer a double cannot hold: typed replies,
+    // not a stack overflow or a silently rounded seed.
+    let (code, message) = raw_error_round_trip(&addr, &frame(1, 1, "[".repeat(100_000).as_bytes()));
+    assert_eq!(code, "bad-request");
+    assert!(message.contains("nesting deeper than"), "{message}");
+    let body = br#"{"schema": 1, "driver": "faultsweep", "seed": 9007199254740993}"#;
+    let (code, message) = raw_error_round_trip(&addr, &frame(1, 1, body));
+    assert_eq!(code, "bad-request");
+    assert!(message.contains("'seed' must be below 2^53"), "{message}");
+
     // The daemon survives all of the above and still answers stats.
     let stats = client.stats().unwrap();
     assert!(stats.contains("triarch_serve_errors"), "{stats}");

@@ -1,7 +1,7 @@
 //! Trace-driven breakdown validation at paper scale.
 //!
-//! Every machine × kernel pair runs on the paper-sized workloads with an
-//! aggregating trace sink attached. The counted spans each engine emits
+//! Every machine × kernel pair runs on the paper-sized workloads with a
+//! folding trace sink attached. The counted spans each engine emits
 //! must reproduce its hand-tallied `CycleBreakdown` within 1% of total
 //! cycles (in practice: exactly), and the §4.2–4.4 attribution
 //! percentages the paper's narrative rests on must be recoverable from
@@ -21,13 +21,13 @@ fn trace_totals_match_breakdowns_within_one_percent() {
     for check in &checks {
         assert!(
             check.agrees_within(0.01),
-            "{} / {}: drift {} of {} cycles\nbreakdown: {}\ntrace:     {}",
+            "{} / {}: drift {} of {} cycles\nbreakdown: {}\nfold:      {:?}",
             check.arch,
             check.kernel,
             check.max_drift(),
             check.run.cycles.get(),
             check.run.breakdown,
-            check.trace,
+            check.fold,
         );
         // The engines mirror every charge as a counted span, so in
         // practice agreement is exact, not merely within tolerance.
@@ -35,6 +35,11 @@ fn trace_totals_match_breakdowns_within_one_percent() {
         // Tracing must not perturb the simulated result.
         assert!(check.run.verification.is_ok(triarch_kernels::verify::CSLC_TOLERANCE));
     }
+}
+
+/// Share of the folded cycles in `category`.
+fn fraction(check: &TraceCheck, category: &str) -> f64 {
+    check.fold.category_total(category) as f64 / check.fold.total() as f64
 }
 
 fn traced(arch: Architecture, kernel: Kernel) -> TraceCheck {
@@ -48,7 +53,7 @@ fn section_4_2_imagine_corner_turn_is_memory_dominated() {
     // between memory and the SRF". Our model lands at ~93% including the
     // precharge/activate share (EXPERIMENTS.md).
     let check = traced(Architecture::Imagine, Kernel::CornerTurn);
-    let mem = check.trace.fraction("memory") + check.trace.fraction("precharge");
+    let mem = fraction(&check, "memory") + fraction(&check, "precharge");
     assert!((0.75..=1.0).contains(&mem), "memory+precharge fraction {mem:.3}");
 }
 
@@ -57,9 +62,13 @@ fn section_4_2_raw_corner_turn_is_issue_bound() {
     // Paper §4.2: "16 instructions per cycle are executed on the Raw
     // tiles, and the static network and DRAM ports are not a bottleneck".
     let check = traced(Architecture::Raw, Kernel::CornerTurn);
-    let issue = check.trace.fraction("issue");
+    let issue = fraction(&check, "issue");
     assert!(issue > 0.9, "issue fraction {issue:.3}");
-    assert_eq!(check.trace.get("memory"), 0, "DRAM ports must not surface as a bottleneck");
+    assert_eq!(
+        check.fold.category_total("memory"),
+        0,
+        "DRAM ports must not surface as a bottleneck"
+    );
 }
 
 #[test]
@@ -67,7 +76,7 @@ fn section_4_3_raw_cslc_memory_stalls_stay_minor() {
     // Paper §4.3: "less than 10% of the execution time is spent on
     // memory stalls".
     let check = traced(Architecture::Raw, Kernel::Cslc);
-    let stall = check.trace.fraction("stall");
+    let stall = fraction(&check, "stall");
     assert!(stall < 0.1, "stall fraction {stall:.3}");
 }
 
@@ -76,6 +85,6 @@ fn section_4_4_imagine_beam_steering_is_load_store_time() {
     // Paper §4.4: "loads and stores take about 89% of execution time" on
     // Imagine's beam steering.
     let check = traced(Architecture::Imagine, Kernel::BeamSteering);
-    let mem = check.trace.fraction("memory") + check.trace.fraction("precharge");
+    let mem = fraction(&check, "memory") + fraction(&check, "precharge");
     assert!(mem > 0.7, "memory fraction {mem:.3}");
 }
