@@ -72,6 +72,17 @@ if [ "$out1" != "$out2" ]; then
   exit 1
 fi
 
+# Fault effects must land on exactly the words they did when the goldens
+# were captured: a deterministic flip one word off changes the outcome
+# classes without breaking run-to-run determinism.
+echo "== repro faultsweep matches the committed goldens =="
+cargo run --release -q -p triarch-bench --bin repro -- faultsweep --campaigns 2 \
+  2>/dev/null > target/ci-faultsweep.txt
+diff -u tests/golden/faultsweep-campaigns2.txt target/ci-faultsweep.txt
+cargo run --release -q -p triarch-bench --bin repro -- faultsweep --small --campaigns 8 \
+  2>/dev/null > target/ci-faultsweep-small.txt
+diff -u tests/golden/faultsweep-small-campaigns8.txt target/ci-faultsweep-small.txt
+
 echo "== parallel byte-identity smoke (--jobs 1 vs --jobs 2) =="
 j1="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 1 table3 breakdowns 2>/dev/null)"
 j2="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 table3 breakdowns 2>/dev/null)"

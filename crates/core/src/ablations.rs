@@ -28,11 +28,15 @@ use crate::report::TextTable;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (none for in-range matrices).
+/// Returns [`SimError::InvalidConfig`] for a zero block size; otherwise
+/// propagates simulator errors (none for in-range matrices).
 pub fn ppc_blocked_corner_turn(
     workload: &CornerTurnWorkload,
     block: usize,
 ) -> Result<(Cycles, Cycles), SimError> {
+    if block == 0 {
+        return Err(SimError::invalid_config("transpose block size must be non-zero"));
+    }
     let cfg = PpcConfig::paper();
     let naive = Architecture::Ppc.machine()?.run_with(workload.into(), Probe::default())?.cycles;
 
@@ -57,10 +61,8 @@ pub fn ppc_blocked_corner_turn(
         }
         br += h;
     }
-    // The blocked code produces the same bits; reuse the workload's own
-    // blocked reference to assert that.
-    let blocked_out = workload.blocked_transpose(block)?;
-    debug_assert_eq!(blocked_out, workload.reference_transpose());
+    // Blocking reorders the same word moves, so the result is the
+    // reference transpose whatever the block size.
     let run = m.finish(Verification::BitExact);
     Ok((naive, run.cycles))
 }

@@ -249,10 +249,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         len: usize,
     ) -> Result<(), SimError> {
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.host.read_u32(host_addr + i)?;
-            self.mram.write_u32(base + i, v)?;
-        }
+        self.mram.block_mut(base, len)?.copy_from_slice(self.host.block(host_addr, len)?);
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
         self.host_words += len as u64;
@@ -290,14 +287,12 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
         let stuck =
             if self.faults.is_enabled() { self.faults.stuck(FaultDomain::Dram) } else { None };
         let lanes = self.cfg.dpus().max(1);
-        for i in 0..len {
-            let mut v = self.mram.read_u32(base + i)?;
-            if let Some(fault) = stuck {
-                if i % lanes == fault.index % lanes {
-                    v = fault.force(v);
-                }
+        let landing = self.host.block_mut(host_addr, len)?;
+        landing.copy_from_slice(self.mram.block(base, len)?);
+        if let Some(fault) = stuck {
+            for word in landing.iter_mut().skip(fault.index % lanes).step_by(lanes) {
+                *word = fault.force(*word);
             }
-            self.host.write_u32(host_addr + i, v)?;
         }
         let cost = self.host_cost(len);
         self.host_hist.observe(cost);
@@ -362,10 +357,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, dst.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.mram.read_u32(base + i)?;
-            self.wram.write_u32(dst.start + i, v)?;
-        }
+        self.wram.block_mut(dst.start, len)?.copy_from_slice(self.mram.block(base, len)?);
         let cost = self.dma_cost(len);
         self.mem_words += len as u64;
         let spent = self.spent;
@@ -404,10 +396,7 @@ impl<S: TraceSink, F: FaultHook> DpuMachine<S, F> {
             return Err(SimError::capacity("wram dma range", len, src.len));
         }
         let base = self.mram_addr(dpu, mram_off, len)?;
-        for i in 0..len {
-            let v = self.wram.read_u32(src.start + i)?;
-            self.mram.write_u32(base + i, v)?;
-        }
+        self.mram.block_mut(base, len)?.copy_from_slice(self.wram.block(src.start, len)?);
         let cost = self.dma_cost(len);
         self.mem_words += len as u64;
         let spent = self.spent;
@@ -568,6 +557,52 @@ mod tests {
         assert_eq!(m.host().read_block_u32(500, 4).unwrap(), vec![1, 2, 3, 4]);
         assert!(m.cycles() > Cycles::ZERO);
         assert_eq!(m.ledger.get("host_xfer").get(), 2 * (64 + 1));
+    }
+
+    /// Flips bit 31 of word 3, 7, 11, … of successive transfers and holds
+    /// bit 0 of interface lane 5 at one.
+    struct Scripted {
+        next: usize,
+    }
+
+    impl FaultHook for Scripted {
+        fn transfer(&mut self, _: FaultDomain, _: usize, _: usize) -> TransferFaults {
+            self.next += 4;
+            let flip =
+                triarch_simcore::faults::WordFlip { offset: self.next - 1, xor_mask: 1 << 31 };
+            TransferFaults { flips: vec![flip], ..TransferFaults::default() }
+        }
+
+        fn stuck(&mut self, _: FaultDomain) -> Option<triarch_simcore::faults::StuckFault> {
+            Some(triarch_simcore::faults::StuckFault { index: 5, bit: 0, stuck_one: true })
+        }
+    }
+
+    #[test]
+    fn block_moves_flips_and_stuck_lane_land_on_the_transfer_words() {
+        let cfg = DpuConfig::paper();
+        let mut m = DpuMachine::with_hooks(&cfg, NullSink, Scripted { next: 0 }).unwrap();
+        let init: Vec<u32> = (0..300u32).map(|i| (i * 2) << 1).collect();
+        m.host_mut().write_block_u32(0, &init).unwrap();
+        m.host_push(0, 0, 0, 300).unwrap();
+        m.launch().unwrap();
+        let r = m.wram_alloc(300).unwrap();
+        m.dma_read(0, 0, r, 300).unwrap();
+        m.dma_write(0, r, 400, 300).unwrap();
+        m.sync().unwrap();
+        m.host_pull(0, 400, 1000, 300).unwrap();
+        // Push, read and write each flip their own word in flight; the pull
+        // forces every dpus-th word from lane 5 on, then flips word 15.
+        let mut want = init.clone();
+        for offset in [3, 7, 11] {
+            want[offset] ^= 1 << 31;
+        }
+        for word in want.iter_mut().skip(5).step_by(cfg.dpus()) {
+            *word |= 1;
+        }
+        want[15] ^= 1 << 31;
+        assert_eq!(m.host().block(1000, 300).unwrap(), &want[..]);
+        assert_eq!(m.host().block(0, 300).unwrap(), &init[..]);
     }
 
     #[test]

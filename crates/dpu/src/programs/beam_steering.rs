@@ -137,8 +137,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
         m.host_pull(d, mram_out, stage_base, beams * n)?;
         for b in 0..beams {
-            let block = m.host().read_block_u32(stage_base + b * n, n)?;
-            m.host_mut().write_block_u32(out_base + b * e + e0, &block)?;
+            m.host_mut().copy_within(stage_base + b * n, n, out_base + b * e + e0)?;
         }
     }
 

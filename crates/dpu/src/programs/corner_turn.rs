@@ -10,8 +10,7 @@
 //! bank-local DMA — dominates the cycle count. The 2003 PIM (VIRAM)
 //! turns the same kernel entirely inside its on-chip DRAM.
 
-use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::corner_turn::{transpose_into, CornerTurnWorkload};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
@@ -99,12 +98,10 @@ pub fn run<S: TraceSink, F: FaultHook>(
             }
             // Tasklets route each word to its transposed slot: one load
             // and one store per word, no arithmetic.
-            for r in 0..h {
-                for c in 0..bc {
-                    let v = m.wram().read_u32(in_w.start + r * bc + c)?;
-                    m.wram_mut().write_u32(out_w.start + c * h + r, v)?;
-                }
-            }
+            let words = h * bc;
+            let staging = m.wram_mut().block_mut(in_w.start, out_w.start + words - in_w.start)?;
+            let (block_in, block_out) = staging.split_at_mut(out_w.start - in_w.start);
+            transpose_into(&block_in[..words], h, bc, &mut block_out[..words]);
             m.exec(d, 2 * (h * bc) as u64, 0)?;
             // Transposed columns are contiguous: one DMA transfer each.
             for c in 0..bc {
@@ -127,13 +124,11 @@ pub fn run<S: TraceSink, F: FaultHook>(
         }
         m.host_pull(d, strip_cap, stage_base, cols * h)?;
         for c in 0..cols {
-            let col = m.host().read_block_u32(stage_base + c * h, h)?;
-            m.host_mut().write_block_u32(dst_base + c * rows + r0, &col)?;
+            m.host_mut().copy_within(stage_base + c * h, h, dst_base + c * rows + r0)?;
         }
     }
 
-    let out = m.host().read_block_u32(dst_base, rows * cols)?;
-    let verification = verify_words(&out, &workload.reference_transpose());
+    let verification = workload.verify_transpose(m.host().block(dst_base, rows * cols)?);
     m.finish(verification)
 }
 

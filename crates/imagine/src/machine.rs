@@ -337,10 +337,12 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         if len > dst.len {
             return Err(SimError::capacity("srf stream range", len, dst.len));
         }
-        for i in 0..len {
-            let a = stream_addr(mem_addr, i, pattern);
-            let v = self.mem.read_u32(a)?;
-            self.srf.write_u32(dst.start + i, v)?;
+        pattern.validate()?;
+        let landing = self.srf.block_mut(dst.start, len)?;
+        let mut done = 0;
+        for (addr, n) in pattern.runs(mem_addr, 0..len) {
+            landing[done..done + n].copy_from_slice(self.mem.block(addr, n)?);
+            done += n;
         }
         let cursor = self.mem_cursor();
         let cost = self.dram.transfer_observed(
@@ -389,15 +391,20 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
         let stuck =
             if self.faults.is_enabled() { self.faults.stuck(FaultDomain::Cluster) } else { None };
         let clusters = self.cfg.clusters.max(1);
-        for i in 0..len {
-            let mut v = self.srf.read_u32(src.start + i)?;
+        pattern.validate()?;
+        let outgoing = self.srf.block(src.start, len)?;
+        let mut done = 0;
+        for (addr, n) in pattern.runs(mem_addr, 0..len) {
+            let run = self.mem.block_mut(addr, n)?;
+            run.copy_from_slice(&outgoing[done..done + n]);
             if let Some(fault) = stuck {
-                if i % clusters == fault.index % clusters {
-                    v = fault.force(v);
+                // Word `i` of the stream left through cluster `i % clusters`.
+                let lag = (fault.index % clusters + clusters - done % clusters) % clusters;
+                for word in run.iter_mut().skip(lag).step_by(clusters) {
+                    *word = fault.force(*word);
                 }
             }
-            let a = stream_addr(mem_addr, i, pattern);
-            self.mem.write_u32(a, v)?;
+            done += n;
         }
         let cursor = self.mem_cursor();
         let cost = self.dram.transfer_observed(
@@ -417,7 +424,7 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
             // off-chip destination.
             let fx = self.faults.transfer(FaultDomain::Dram, mem_addr, len);
             for flip in &fx.flips {
-                let a = stream_addr(mem_addr, flip.offset, pattern);
+                let a = pattern.addr(mem_addr, flip.offset);
                 let word = self.mem.read_u32(a)?;
                 self.mem.write_u32(a, word ^ flip.xor_mask)?;
             }
@@ -522,22 +529,67 @@ impl<S: TraceSink, F: FaultHook> ImagineMachine<S, F> {
     }
 }
 
-fn stream_addr(base: usize, idx: usize, pattern: AccessPattern) -> usize {
-    match pattern {
-        AccessPattern::Sequential => base + idx,
-        AccessPattern::Strided { stride_words } => base + idx * stride_words,
-        AccessPattern::Chunked { chunk_words, stride_words } => {
-            base + (idx / chunk_words) * stride_words + idx % chunk_words
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn machine() -> ImagineMachine {
         ImagineMachine::new(&ImagineConfig::paper()).unwrap()
+    }
+
+    /// Flips bit 31 of word `flip` of every transfer long enough and
+    /// holds bit 0 of resource `stuck` at one.
+    struct Scripted {
+        flip: usize,
+        stuck: usize,
+    }
+
+    impl FaultHook for Scripted {
+        fn transfer(&mut self, _: FaultDomain, _: usize, words: usize) -> TransferFaults {
+            let flips = if self.flip < words {
+                vec![triarch_simcore::faults::WordFlip { offset: self.flip, xor_mask: 1 << 31 }]
+            } else {
+                Vec::new()
+            };
+            TransferFaults { flips, ..TransferFaults::default() }
+        }
+
+        fn stuck(&mut self, _: FaultDomain) -> Option<triarch_simcore::faults::StuckFault> {
+            Some(triarch_simcore::faults::StuckFault { index: self.stuck, bit: 0, stuck_one: true })
+        }
+    }
+
+    #[test]
+    fn stream_words_flips_and_stuck_cluster_land_where_the_pattern_says() {
+        let cfg = ImagineConfig::paper();
+        let clusters = cfg.clusters;
+        let mut m =
+            ImagineMachine::with_hooks(&cfg, NullSink, Scripted { flip: 7, stuck: 3 }).unwrap();
+        let init: Vec<u32> = (0..400u32).map(|i| (i * 2) << 1).collect();
+        m.memory_mut().write_block_u32(0, &init).unwrap();
+        let pattern = AccessPattern::Chunked { chunk_words: 6, stride_words: 9 };
+        let range = m.srf_alloc(20).unwrap();
+
+        // In: word i of the stream lands in SRF slot i; the flip corrupts
+        // the SRF copy of word 7, not the off-chip original.
+        m.stream_in(3, range, 20, pattern).unwrap();
+        let mut staged: Vec<u32> = (0..20).map(|i| init[pattern.addr(3, i)]).collect();
+        staged[7] ^= 1 << 31;
+        assert_eq!(m.srf().block(range.start, 20).unwrap(), &staged[..]);
+        assert_eq!(m.memory().as_words()[..400], init[..]);
+
+        // Out: every word that leaves through cluster 3 has bit 0 forced,
+        // then the flip corrupts the off-chip copy of word 7.
+        m.stream_out(range, 200, 20, pattern).unwrap();
+        let mut want = init.clone();
+        for (i, &v) in staged.iter().enumerate() {
+            want[pattern.addr(200, i)] = if i % clusters == 3 { v | 1 } else { v };
+        }
+        want[pattern.addr(200, 7)] ^= 1 << 31;
+        assert_eq!(m.memory().as_words()[..400], want[..]);
+        assert!(m
+            .stream_in(0, range, 4, AccessPattern::Chunked { chunk_words: 0, stride_words: 4 })
+            .is_err());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! words in a block are written sequentially, but the blocks are written
 //! with a non-unit stride."
 
-use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
+use triarch_kernels::corner_turn::{transpose_into, CornerTurnWorkload};
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, KernelRun, SimError};
@@ -64,30 +63,29 @@ pub fn run<S: TraceSink, F: FaultHook>(
     let mut r0 = 0;
     while r0 < rows {
         let h = strip.min(rows - r0);
+        let words = h * cols;
         m.srf_reset();
-        let in_range = m.srf_alloc(h * cols)?;
-        let out_range = m.srf_alloc(h * cols)?;
+        let in_range = m.srf_alloc(words)?;
+        let out_range = m.srf_alloc(words)?;
 
         m.begin_overlap()?;
         // Sequential read of the whole strip maximizes DRAM bandwidth.
-        m.stream_in(src_base + r0 * cols, in_range, h * cols, AccessPattern::Sequential)?;
+        m.stream_in(src_base + r0 * cols, in_range, words, AccessPattern::Sequential)?;
 
         // Clusters route each word to its transposed position: one
         // communication-unit pass per word.
-        for r in 0..h {
-            for c in 0..cols {
-                let v = m.srf().read_u32(in_range.start + r * cols + c)?;
-                m.srf_mut().write_u32(out_range.start + c * h + r, v)?;
-            }
-        }
-        m.kernel_exec(ClusterOps { comms: (h * cols) as u64, ..Default::default() })?;
+        let staging =
+            m.srf_mut().block_mut(in_range.start, out_range.start + words - in_range.start)?;
+        let (strip_in, strip_out) = staging.split_at_mut(out_range.start - in_range.start);
+        transpose_into(&strip_in[..words], h, cols, &mut strip_out[..words]);
+        m.kernel_exec(ClusterOps { comms: words as u64, ..Default::default() })?;
 
         // Output stream: h-word chunks (one per destination row), written
         // with the destination pitch as the block stride.
         m.stream_out(
             out_range,
             dst_base + r0,
-            h * cols,
+            words,
             AccessPattern::Chunked { chunk_words: h, stride_words: dst_pitch },
         )?;
         m.end_overlap()?;
@@ -96,9 +94,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     let mut out = Vec::with_capacity(rows * cols);
     for c in 0..cols {
-        out.extend(m.memory().read_block_u32(dst_base + c * dst_pitch, rows)?);
+        out.extend_from_slice(m.memory().block(dst_base + c * dst_pitch, rows)?);
     }
-    let verification = verify_words(&out, &workload.reference_transpose());
+    let verification = workload.verify_transpose(&out);
     m.finish(verification)
 }
 

@@ -6,9 +6,11 @@
 //! Raw's internal memories (2 MB) but smaller than VIRAM's on-chip memory
 //! (13 MB).
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use triarch_simcore::{KernelDemands, SimError};
+use triarch_simcore::{KernelDemands, SimError, Verification};
 
 /// The paper's matrix dimension (1024 × 1024).
 pub const PAPER_DIM: usize = 1024;
@@ -104,29 +106,25 @@ impl CornerTurnWorkload {
         dst
     }
 
-    /// Blocked transpose, as used by cache-based machines (Section 3.1:
-    /// "In conventional cache-based processor systems, tiling is used to
-    /// reduce cache misses"). Produces the same result as
-    /// [`reference_transpose`](Self::reference_transpose).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for a zero block size.
-    pub fn blocked_transpose(&self, block: usize) -> Result<Vec<u32>, SimError> {
-        if block == 0 {
-            return Err(SimError::invalid_config("transpose block size must be non-zero"));
+    /// Checks a machine's transposed output against the source, tile by
+    /// tile, without building the reference: [`Verification::BitExact`]
+    /// when `got` equals [`reference_transpose`](Self::reference_transpose),
+    /// otherwise [`Verification::Unchecked`].
+    #[must_use]
+    pub fn verify_transpose(&self, got: &[u32]) -> Verification {
+        let (rows, cols, src) = (self.rows, self.cols, &self.src);
+        let exact = got.len() == src.len()
+            && tile_segments(rows, cols).all(|(c, r)| {
+                got[c * rows + r.start..c * rows + r.end]
+                    .iter()
+                    .zip(r)
+                    .all(|(&g, r)| g == src[r * cols + c])
+            });
+        if exact {
+            Verification::BitExact
+        } else {
+            Verification::Unchecked
         }
-        let mut dst = vec![0u32; self.src.len()];
-        for br in (0..self.rows).step_by(block) {
-            for bc in (0..self.cols).step_by(block) {
-                for r in br..(br + block).min(self.rows) {
-                    for c in bc..(bc + block).min(self.cols) {
-                        dst[c * self.rows + r] = self.src[r * self.cols + c];
-                    }
-                }
-            }
-        }
-        Ok(dst)
     }
 
     /// Memory demands for the Section 2.5 performance model: every element
@@ -145,7 +143,26 @@ impl CornerTurnWorkload {
     }
 }
 
-/// Transposes `src` (row-major `rows`×`cols`) into `dst` (`cols`×`rows`).
+/// Edge of the square tiles the transpose and its check walk, so one
+/// tile's source and destination lines stay cache-resident (Section 3.1:
+/// "In conventional cache-based processor systems, tiling is used to
+/// reduce cache misses").
+const TILE: usize = 32;
+
+/// The destination segments of a tiled `rows`×`cols` transpose, in tile
+/// order: `(c, r0..r1)` is destination row `c`, columns `r0..r1`, which
+/// come from source column `c`, rows `r0..r1`.
+fn tile_segments(rows: usize, cols: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (0..rows).step_by(TILE).flat_map(move |r0| {
+        let r1 = (r0 + TILE).min(rows);
+        (0..cols)
+            .step_by(TILE)
+            .flat_map(move |c0| (c0..(c0 + TILE).min(cols)).map(move |c| (c, r0..r1)))
+    })
+}
+
+/// Transposes `src` (row-major `rows`×`cols`) into `dst` (`cols`×`rows`),
+/// tile by tile.
 ///
 /// # Panics
 ///
@@ -153,9 +170,9 @@ impl CornerTurnWorkload {
 pub fn transpose_into(src: &[u32], rows: usize, cols: usize, dst: &mut [u32]) {
     assert_eq!(src.len(), rows * cols, "source length mismatch");
     assert_eq!(dst.len(), rows * cols, "destination length mismatch");
-    for r in 0..rows {
-        for c in 0..cols {
-            dst[c * rows + r] = src[r * cols + c];
+    for (c, r) in tile_segments(rows, cols) {
+        for (out, r) in dst[c * rows + r.start..c * rows + r.end].iter_mut().zip(r) {
+            *out = src[r * cols + c];
         }
     }
 }
@@ -194,13 +211,70 @@ mod tests {
         assert_eq!(back, w.source());
     }
 
-    #[test]
-    fn blocked_matches_reference() {
-        let w = CornerTurnWorkload::with_dims(33, 20, 3).unwrap();
-        for block in [1usize, 4, 8, 16, 64] {
-            assert_eq!(w.blocked_transpose(block).unwrap(), w.reference_transpose());
+    /// The word-by-word column scatter the tiled transpose replaced.
+    fn naive_transpose(src: &[u32], rows: usize, cols: usize) -> Vec<u32> {
+        let mut dst = vec![0u32; src.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                dst[c * rows + r] = src[r * cols + c];
+            }
         }
-        assert!(w.blocked_transpose(0).is_err());
+        dst
+    }
+
+    const SHAPES: [(usize, usize); 7] =
+        [(1, 1), (7, 13), (65, 33), (33, 20), (32, 32), (1, 70), (96, 64)];
+
+    #[test]
+    fn tiled_transpose_matches_naive() {
+        for (rows, cols) in SHAPES {
+            let w = CornerTurnWorkload::with_dims(rows, cols, 3).unwrap();
+            assert_eq!(
+                w.reference_transpose(),
+                naive_transpose(w.source_slice(), rows, cols),
+                "{rows}x{cols}"
+            );
+        }
+    }
+
+    #[test]
+    fn verify_transpose_agrees_with_verify_words() {
+        use crate::verify::verify_words;
+        for (rows, cols) in SHAPES {
+            let w = CornerTurnWorkload::with_dims(rows, cols, 11).unwrap();
+            let reference = w.reference_transpose();
+            let n = reference.len();
+            assert_eq!(w.verify_transpose(&reference), Verification::BitExact, "{rows}x{cols}");
+            // One corrupted word: the first, the last, and either side of
+            // every tile edge in both dimensions.
+            let edges: Vec<usize> =
+                (TILE..rows.max(cols)).step_by(TILE).flat_map(|e| [e - 1, e]).collect();
+            let mut spots = vec![0, n - 1];
+            for &a in &edges {
+                for &b in std::iter::once(&0).chain(&edges) {
+                    for (c, r) in [(a, b), (b, a)] {
+                        if c < cols && r < rows {
+                            spots.push(c * rows + r);
+                        }
+                    }
+                }
+            }
+            for spot in spots {
+                let mut bad = reference.clone();
+                bad[spot] ^= 1 << (spot % 32);
+                assert_eq!(
+                    w.verify_transpose(&bad),
+                    verify_words(&bad, &reference),
+                    "{rows}x{cols} word {spot}"
+                );
+                assert_eq!(w.verify_transpose(&bad), Verification::Unchecked);
+            }
+            // Wrong lengths never verify.
+            assert_eq!(w.verify_transpose(&reference[..n - 1]), Verification::Unchecked);
+            let mut long = reference.clone();
+            long.push(0);
+            assert_eq!(w.verify_transpose(&long), verify_words(&long, &reference));
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use proptest::prelude::*;
 use triarch_kernels::beam_steering::BeamSteeringWorkload;
 use triarch_kernels::corner_turn::CornerTurnWorkload;
+use triarch_kernels::verify::verify_words;
+use triarch_simcore::Verification;
 
 proptest! {
     /// Transposing twice is the identity for any dimensions.
@@ -14,16 +16,22 @@ proptest! {
         prop_assert_eq!(back, w.source());
     }
 
-    /// Blocked transpose equals the reference for any block size.
+    /// The tiled golden check accepts exactly the reference transpose:
+    /// it agrees with a full comparison against it for any shape and any
+    /// single corrupted word.
     #[test]
-    fn blocked_equals_reference(
-        rows in 1usize..40,
-        cols in 1usize..40,
-        block in 1usize..64,
+    fn verify_transpose_equals_full_comparison(
+        rows in 1usize..80,
+        cols in 1usize..80,
+        spot in any::<usize>(),
         seed in any::<u64>(),
     ) {
         let w = CornerTurnWorkload::with_dims(rows, cols, seed).unwrap();
-        prop_assert_eq!(w.blocked_transpose(block).unwrap(), w.reference_transpose());
+        let reference = w.reference_transpose();
+        prop_assert_eq!(w.verify_transpose(&reference), Verification::BitExact);
+        let mut bad = reference.clone();
+        bad[spot % reference.len()] ^= 0x8000_0001;
+        prop_assert_eq!(w.verify_transpose(&bad), verify_words(&bad, &reference));
     }
 
     /// Every source element appears exactly once in the transpose.

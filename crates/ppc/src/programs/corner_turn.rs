@@ -7,7 +7,6 @@
 //! is limited by main memory bandwidth".
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
@@ -85,7 +84,7 @@ pub fn run<S: TraceSink, F: FaultHook>(
     // streamed write-back.
     m.fault_transfer(dst_base, &mut dst)?;
     m.checkpoint("transpose-loop-done");
-    let verification = verify_words(&dst, &workload.reference_transpose());
+    let verification = workload.verify_transpose(&dst);
     Ok(m.finish(verification))
 }
 

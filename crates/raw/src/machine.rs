@@ -144,9 +144,24 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
     ///
     /// Returns [`SimError::InvalidConfig`] for an out-of-range tile.
     pub fn local_mut(&mut self, tile: usize) -> Result<&mut WordMemory, SimError> {
-        self.locals
+        Ok(self.memory_and_local_mut(tile)?.1)
+    }
+
+    /// Off-chip memory and one tile's local store, borrowed together for
+    /// block moves between them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for an out-of-range tile.
+    pub fn memory_and_local_mut(
+        &mut self,
+        tile: usize,
+    ) -> Result<(&mut WordMemory, &mut WordMemory), SimError> {
+        let local = self
+            .locals
             .get_mut(tile)
-            .ok_or_else(|| SimError::invalid_config(format!("tile {tile} out of range")))
+            .ok_or_else(|| SimError::invalid_config(format!("tile {tile} out of range")))?;
+        Ok((&mut self.mem, local))
     }
 
     fn tile_mut(&mut self, tile: usize) -> Result<&mut TileCounters, SimError> {
@@ -267,7 +282,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
             // cell corruption observed by this and later transfers).
             let fx = self.faults.transfer(FaultDomain::Dram, addr, words);
             for flip in &fx.flips {
-                let a = transfer_addr(addr, flip.offset, pattern);
+                let a = pattern.addr(addr, flip.offset);
                 if let Ok(v) = self.mem.read_u32(a) {
                     self.mem.write_u32(a, v ^ flip.xor_mask)?;
                 }
@@ -279,7 +294,7 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
                 let tiles = self.cfg.tiles().max(1);
                 let mut i = fault.index % tiles;
                 while i < words {
-                    let a = transfer_addr(addr, i, pattern);
+                    let a = pattern.addr(addr, i);
                     if let Ok(v) = self.mem.read_u32(a) {
                         self.mem.write_u32(a, fault.force(v))?;
                     }
@@ -440,24 +455,53 @@ impl<S: TraceSink, F: FaultHook> RawMachine<S, F> {
     }
 }
 
-/// Maps a transfer-relative word index to its absolute memory address
-/// under an access pattern.
-fn transfer_addr(base: usize, idx: usize, pattern: AccessPattern) -> usize {
-    match pattern {
-        AccessPattern::Sequential => base + idx,
-        AccessPattern::Strided { stride_words } => base + idx * stride_words,
-        AccessPattern::Chunked { chunk_words, stride_words } => {
-            base + (idx / chunk_words) * stride_words + idx % chunk_words
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn machine() -> RawMachine {
         RawMachine::new(&RawConfig::paper()).unwrap()
+    }
+
+    /// Flips bit 31 of word `flip` of every transfer long enough and
+    /// holds bit 0 of resource `stuck` at one.
+    struct Scripted {
+        flip: usize,
+        stuck: usize,
+    }
+
+    impl FaultHook for Scripted {
+        fn transfer(&mut self, _: FaultDomain, _: usize, words: usize) -> TransferFaults {
+            let flips = if self.flip < words {
+                vec![triarch_simcore::faults::WordFlip { offset: self.flip, xor_mask: 1 << 31 }]
+            } else {
+                Vec::new()
+            };
+            TransferFaults { flips, ..TransferFaults::default() }
+        }
+
+        fn stuck(&mut self, _: FaultDomain) -> Option<triarch_simcore::faults::StuckFault> {
+            Some(triarch_simcore::faults::StuckFault { index: self.stuck, bit: 0, stuck_one: true })
+        }
+    }
+
+    #[test]
+    fn dram_flips_and_stuck_tile_land_where_the_pattern_says() {
+        let cfg = RawConfig::paper();
+        let tiles = cfg.tiles();
+        let mut m = RawMachine::with_hooks(&cfg, NullSink, Scripted { flip: 5, stuck: 2 }).unwrap();
+        let init: Vec<u32> = (0..600u32).map(|i| (i * 2) << 1).collect();
+        m.memory_mut().write_block_u32(0, &init).unwrap();
+        let pattern = AccessPattern::Chunked { chunk_words: 7, stride_words: 20 };
+        m.begin_phase().unwrap();
+        m.dram_traffic(11, 40, pattern).unwrap();
+        m.end_phase(false).unwrap();
+        let mut want = init.clone();
+        want[pattern.addr(11, 5)] ^= 1 << 31;
+        for i in (2..40).step_by(tiles) {
+            want[pattern.addr(11, i)] |= 1;
+        }
+        assert_eq!(m.memory().as_words()[..600], want[..]);
     }
 
     #[test]

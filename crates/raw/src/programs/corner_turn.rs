@@ -11,7 +11,6 @@
 //! cycle."
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{AccessPattern, KernelRun, SimError};
@@ -79,9 +78,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
             // Load the block into the tile's local store (one load
             // instruction per word) …
-            for r in 0..h {
-                let row = m.memory().read_block_u32(src_base + (br + r) * src_pitch + bc, w)?;
-                m.local_mut(tile)?.write_block_u32(r * w, &row)?;
+            let (mem, local) = m.memory_and_local_mut(tile)?;
+            for (r, row) in local.block_mut(0, h * w)?.chunks_exact_mut(w).enumerate() {
+                row.copy_from_slice(mem.block(src_base + (br + r) * src_pitch + bc, w)?);
             }
             m.dram_traffic(
                 src_base + br * src_pitch + bc,
@@ -92,12 +91,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
             // … transpose in local memory (single-cycle accesses folded
             // into the store addressing) and store it back.
+            let (mem, local) = m.memory_and_local_mut(tile)?;
             for c in 0..w {
-                let mut out_row = Vec::with_capacity(h);
-                for r in 0..h {
-                    out_row.push(m.local_mut(tile)?.read_u32(r * w + c)?);
-                }
-                m.memory_mut().write_block_u32(dst_base + (bc + c) * dst_pitch + br, &out_row)?;
+                local.gather(c, w, mem.block_mut(dst_base + (bc + c) * dst_pitch + br, h)?)?;
             }
             m.dram_traffic(
                 dst_base + bc * dst_pitch + br,
@@ -112,9 +108,9 @@ pub fn run<S: TraceSink, F: FaultHook>(
 
     let mut out = Vec::with_capacity(rows * cols);
     for c in 0..cols {
-        out.extend(m.memory().read_block_u32(dst_base + c * dst_pitch, rows)?);
+        out.extend_from_slice(m.memory().block(dst_base + c * dst_pitch, rows)?);
     }
-    let verification = verify_words(&out, &workload.reference_transpose());
+    let verification = workload.verify_transpose(&out);
     m.finish(verification)
 }
 

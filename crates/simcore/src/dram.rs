@@ -10,9 +10,15 @@
 //! generators for strided streams). Each word maps to a `(bank, row)`; a
 //! word that touches a bank whose open row differs must wait for a
 //! precharge + activate, and the bank is busy until the activate completes.
+//! The walk itself is block-at-a-time: consecutive words of a group that
+//! share one interleave block share a `(bank, row)`, so the mapping is
+//! computed once per such run and the run's words are accounted together,
+//! with exactly the per-word result.
 //! Open rows persist across transfers, so blocked access patterns that
 //! revisit rows (the paper's corner-turn optimizations) pay the row costs
 //! only once — exactly the effect the paper exploits.
+
+use std::ops::Range;
 
 use triarch_metrics::MetricsReport;
 use triarch_trace::TraceSink;
@@ -40,6 +46,110 @@ pub enum AccessPattern {
         /// Distance in words between chunk starts; must be non-zero.
         stride_words: usize,
     },
+}
+
+impl AccessPattern {
+    /// Rejects a zero stride or chunk length, which no address walk can
+    /// follow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a degenerate pattern.
+    pub fn validate(self) -> Result<(), SimError> {
+        match self {
+            AccessPattern::Sequential => Ok(()),
+            AccessPattern::Strided { stride_words } => {
+                if stride_words == 0 {
+                    return Err(SimError::invalid_config(
+                        "strided transfer requires non-zero stride",
+                    ));
+                }
+                Ok(())
+            }
+            AccessPattern::Chunked { chunk_words, stride_words } => {
+                if chunk_words == 0 || stride_words == 0 {
+                    return Err(SimError::invalid_config(
+                        "chunked transfer requires non-zero chunk and stride",
+                    ));
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// The address of word `idx` of a transfer that starts at `base`.
+    ///
+    /// The pattern must be valid (see [`validate`](Self::validate)).
+    ///
+    /// ```
+    /// use triarch_simcore::AccessPattern;
+    ///
+    /// let p = AccessPattern::Chunked { chunk_words: 4, stride_words: 10 };
+    /// assert_eq!(p.addr(100, 5), 111);
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn addr(self, base: usize, idx: usize) -> usize {
+        match self {
+            AccessPattern::Sequential => base + idx,
+            AccessPattern::Strided { stride_words } => base + idx * stride_words,
+            AccessPattern::Chunked { chunk_words, stride_words } => {
+                base + (idx / chunk_words) * stride_words + idx % chunk_words
+            }
+        }
+    }
+
+    /// The words `words` of a transfer that starts at `base`, in order, as
+    /// maximal `(addr, len)` runs of consecutive addresses.
+    ///
+    /// The pattern must be valid (see [`validate`](Self::validate)).
+    ///
+    /// ```
+    /// use triarch_simcore::AccessPattern;
+    ///
+    /// let p = AccessPattern::Chunked { chunk_words: 4, stride_words: 10 };
+    /// let runs: Vec<_> = p.runs(100, 2..9).collect();
+    /// assert_eq!(runs, vec![(102, 2), (110, 4), (120, 1)]);
+    /// ```
+    #[must_use]
+    pub fn runs(self, base: usize, words: Range<usize>) -> Runs {
+        Runs { pattern: self, base, next: words.start, end: words.end }
+    }
+}
+
+/// Iterator over the contiguous runs of a transfer; see
+/// [`AccessPattern::runs`].
+#[derive(Debug, Clone)]
+pub struct Runs {
+    pattern: AccessPattern,
+    base: usize,
+    next: usize,
+    end: usize,
+}
+
+impl Iterator for Runs {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.next >= self.end {
+            return None;
+        }
+        let left = self.end - self.next;
+        let len = match self.pattern {
+            AccessPattern::Sequential | AccessPattern::Strided { stride_words: 1 } => left,
+            AccessPattern::Strided { .. } => 1,
+            AccessPattern::Chunked { chunk_words, stride_words } if stride_words == chunk_words => {
+                left
+            }
+            AccessPattern::Chunked { chunk_words, .. } => {
+                (chunk_words - self.next % chunk_words).min(left)
+            }
+        };
+        let addr = self.pattern.addr(self.base, self.next);
+        self.next += len;
+        Some((addr, len))
+    }
 }
 
 /// Configuration of a banked DRAM interface.
@@ -202,6 +312,102 @@ impl DramConfig {
     }
 }
 
+/// Exact unsigned division by a divisor fixed when the model is built.
+///
+/// A power of two divides by a shift. Any other divisor `d` uses the
+/// round-up multiply-high method of Granlund and Montgomery ("Division by
+/// invariant integers using multiplication", PLDI 1994, figure 4.1): with
+/// `l = ceil(log2 d)` and `m = floor(2^64 (2^l - d) / d) + 1`, the quotient
+/// of every 64-bit `n` is `(t + ((n - t) >> 1)) >> (l - 1)` where
+/// `t = (m n) >> 64`.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    /// Zero for a power of two, which divides by `shift` alone.
+    magic: u64,
+    shift: u32,
+}
+
+impl Divisor {
+    fn new(d: usize) -> Self {
+        let d = d as u64;
+        assert!(d > 0, "divisor must be non-zero");
+        if d.is_power_of_two() {
+            return Divisor { d, magic: 0, shift: d.trailing_zeros() };
+        }
+        // d >= 3, so 2 <= l <= 64 and 2^l - d < d: m < 2^64.
+        let l = u64::BITS - (d - 1).leading_zeros();
+        let magic = (((1u128 << l) - u128::from(d)) << 64) / u128::from(d) + 1;
+        Divisor { d, magic: magic as u64, shift: l - 1 }
+    }
+
+    #[inline]
+    fn div(self, n: u64) -> u64 {
+        if self.magic == 0 {
+            n >> self.shift
+        } else {
+            let t = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
+            (t + ((n - t) >> 1)) >> self.shift
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: usize) -> (usize, usize) {
+        let q = self.div(n as u64);
+        (q as usize, (n as u64 - q * self.d) as usize)
+    }
+}
+
+/// The word → `(bank, row)` address map of a [`DramConfig`], with every
+/// divisor precomputed.
+#[derive(Debug, Clone, Copy)]
+struct BankMap {
+    interleave: Divisor,
+    /// Banks per wing (all banks when there is one wing).
+    banks: Divisor,
+    /// Words in one row across a wing's banks.
+    stripe: Divisor,
+    /// `(wing_words, wings)` when the banks are split across wings.
+    wings: Option<(Divisor, Divisor)>,
+    banks_per_wing: usize,
+}
+
+impl BankMap {
+    fn new(cfg: &DramConfig) -> Self {
+        let bpw = cfg.banks_per_wing();
+        BankMap {
+            interleave: Divisor::new(cfg.interleave_words),
+            banks: Divisor::new(bpw),
+            stripe: Divisor::new(cfg.row_words * bpw),
+            wings: (cfg.wings > 1).then(|| (Divisor::new(cfg.wing_words), Divisor::new(cfg.wings))),
+            banks_per_wing: bpw,
+        }
+    }
+
+    /// The `(bank, row)` of `word`, and how many words from `word` on
+    /// share both: the run ends at the next interleave-block, row-stripe
+    /// or wing boundary.
+    #[inline]
+    fn locate(&self, word: usize) -> (usize, usize, usize) {
+        let (first_bank, local, wing_left) = match self.wings {
+            Some((wing_words, wings)) => {
+                let (q, local) = wing_words.div_rem(word);
+                let wing = wings.div_rem(q).1;
+                (wing * self.banks_per_wing, local, wing_words.d as usize - local)
+            }
+            None => (0, word, usize::MAX),
+        };
+        let (block, in_block) = self.interleave.div_rem(local);
+        let (row, in_row) = self.stripe.div_rem(local);
+        let bank = first_bank + self.banks.div_rem(block).1;
+        let span = (self.interleave.d as usize - in_block)
+            .min(self.stripe.d as usize - in_row)
+            .min(wing_left);
+        (bank, row, span)
+    }
+}
+
 /// The timing outcome of one DRAM transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DramCost {
@@ -250,6 +456,7 @@ impl DramCost {
 #[derive(Debug, Clone)]
 pub struct DramModel {
     cfg: DramConfig,
+    map: BankMap,
     open_rows: Vec<Option<usize>>,
     bank_ready: Vec<u64>,
     now: u64,
@@ -269,6 +476,7 @@ impl DramModel {
     pub fn new(cfg: DramConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         Ok(DramModel {
+            map: BankMap::new(&cfg),
             open_rows: vec![None; cfg.banks],
             bank_ready: vec![0; cfg.banks],
             now: 0,
@@ -348,28 +556,6 @@ impl DramModel {
         self.now += cycles.get();
     }
 
-    #[inline]
-    fn bank_of(&self, word: usize) -> usize {
-        if self.cfg.wings > 1 {
-            let wing = (word / self.cfg.wing_words) % self.cfg.wings;
-            let local = word % self.cfg.wing_words;
-            let bpw = self.cfg.banks_per_wing();
-            wing * bpw + (local / self.cfg.interleave_words) % bpw
-        } else {
-            (word / self.cfg.interleave_words) % self.cfg.banks
-        }
-    }
-
-    #[inline]
-    fn row_of(&self, word: usize) -> usize {
-        if self.cfg.wings > 1 {
-            let local = word % self.cfg.wing_words;
-            local / (self.cfg.row_words * self.cfg.banks_per_wing())
-        } else {
-            word / (self.cfg.row_words * self.cfg.banks)
-        }
-    }
-
     /// Times a transfer of `n_words` starting at `start_word`.
     ///
     /// The transfer is assumed to occupy the interface exclusively; the
@@ -384,24 +570,12 @@ impl DramModel {
         n_words: usize,
         pattern: AccessPattern,
     ) -> Result<DramCost, SimError> {
-        let group: usize = match pattern {
-            AccessPattern::Sequential => self.cfg.seq_words_per_cycle as usize,
-            AccessPattern::Strided { stride_words } => {
-                if stride_words == 0 {
-                    return Err(SimError::invalid_config(
-                        "strided transfer requires non-zero stride",
-                    ));
-                }
-                self.cfg.strided_words_per_cycle as usize
-            }
-            AccessPattern::Chunked { chunk_words, stride_words } => {
-                if chunk_words == 0 || stride_words == 0 {
-                    return Err(SimError::invalid_config(
-                        "chunked transfer requires non-zero chunk and stride",
-                    ));
-                }
-                // Within-chunk accesses stream at the sequential rate; the
-                // address generator absorbs the chunk jumps.
+        pattern.validate()?;
+        let group = match pattern {
+            AccessPattern::Strided { .. } => self.cfg.strided_words_per_cycle as usize,
+            // Within-chunk accesses stream at the sequential rate; the
+            // address generator absorbs the chunk jumps.
+            AccessPattern::Sequential | AccessPattern::Chunked { .. } => {
                 self.cfg.seq_words_per_cycle as usize
             }
         };
@@ -415,49 +589,22 @@ impl DramModel {
 
         let mut issued = 0usize;
         while issued < n_words {
-            let in_group = group.min(n_words - issued);
+            let end = (issued + group).min(n_words);
             // One cycle of data transfer for the group, delayed by any bank
             // that must first activate a new row.
             let mut group_ready = t;
-            for k in 0..in_group {
-                let idx = issued + k;
-                let word = match pattern {
-                    AccessPattern::Sequential => start_word + idx,
-                    AccessPattern::Strided { stride_words } => start_word + idx * stride_words,
-                    AccessPattern::Chunked { chunk_words, stride_words } => {
-                        start_word + (idx / chunk_words) * stride_words + idx % chunk_words
-                    }
-                };
-                let bank = self.bank_of(word);
-                let row = self.row_of(word);
-                if self.open_rows[bank] != Some(row) {
-                    row_misses += 1;
-                    // Memory controllers issue precharge/activate ahead of
-                    // the data stream; an activation can begin as soon as
-                    // the bank was last free, up to one full row-cycle
-                    // before the access needs it. A bank that has been idle
-                    // hides the row cost entirely (the paper: "mostly
-                    // hidden with sequential accesses"); a bank re-opened
-                    // in quick succession stalls the stream.
-                    let lookahead = self.cfg.t_precharge + self.cfg.t_activate;
-                    let ready = self.bank_ready[bank];
-                    let activate_start = ready.max(t.saturating_sub(lookahead));
-                    let activate_end = activate_start + self.cfg.t_precharge + self.cfg.t_activate;
-                    // Branchless: conflicts are an observability counter on
-                    // the innermost loop, so keep them off the branch
-                    // predictor's plate.
-                    self.total_bank_conflicts += u64::from(ready > t);
-                    self.open_rows[bank] = Some(row);
-                    self.bank_ready[bank] = activate_end;
-                    group_ready = group_ready.max(activate_end);
-                } else {
-                    let ready = self.bank_ready[bank];
-                    self.total_bank_conflicts += u64::from(ready > t);
-                    group_ready = group_ready.max(ready);
+            for (mut word, mut left) in pattern.runs(start_word, issued..end) {
+                while left > 0 {
+                    let (bank, row, span) = self.map.locate(word);
+                    let words = span.min(left);
+                    group_ready =
+                        group_ready.max(self.access(bank, row, words, t, &mut row_misses));
+                    word += words;
+                    left -= words;
                 }
             }
             t = group_ready + 1;
-            issued += in_group;
+            issued = end;
         }
 
         self.now = t;
@@ -476,6 +623,43 @@ impl DramModel {
             startup: Cycles::new(startup),
             row_misses,
         })
+    }
+
+    /// Issues `words` consecutive accesses to one `(bank, row)` in the
+    /// cycle group that starts at `t`, returning the cycle the bank is
+    /// ready for them. Only the first access can miss the open row; the
+    /// rest find it open, so each counts as a bank conflict exactly when
+    /// the bank is still busy at `t`, as a word-by-word walk would count.
+    #[inline]
+    fn access(
+        &mut self,
+        bank: usize,
+        row: usize,
+        words: usize,
+        t: u64,
+        row_misses: &mut u64,
+    ) -> u64 {
+        let ready = self.bank_ready[bank];
+        if self.open_rows[bank] == Some(row) {
+            self.total_bank_conflicts += words as u64 * u64::from(ready > t);
+            return ready;
+        }
+        *row_misses += 1;
+        // Memory controllers issue precharge/activate ahead of the data
+        // stream; an activation can begin as soon as the bank was last
+        // free, up to one full row-cycle before the access needs it. A
+        // bank that has been idle hides the row cost entirely (the paper:
+        // "mostly hidden with sequential accesses"); a bank re-opened in
+        // quick succession stalls the stream.
+        let row_cycle = self.cfg.t_precharge + self.cfg.t_activate;
+        let activate_end = ready.max(t.saturating_sub(row_cycle)) + row_cycle;
+        // Branchless: conflicts are an observability counter on the
+        // innermost loop, so keep them off the branch predictor's plate.
+        self.total_bank_conflicts +=
+            u64::from(ready > t) + (words as u64 - 1) * u64::from(activate_end > t);
+        self.open_rows[bank] = Some(row);
+        self.bank_ready[bank] = activate_end;
+        activate_end
     }
 
     /// [`transfer`](Self::transfer), plus an *uncounted* trace decomposition
@@ -711,5 +895,289 @@ mod chunked_tests {
         let cb = b.transfer(0, 128, AccessPattern::Sequential).unwrap();
         assert_eq!(ca.row_misses, cb.row_misses);
         assert_eq!(ca.total, cb.total);
+    }
+}
+
+/// The block-at-a-time walk against the word-at-a-time model it replaced:
+/// the oracle below keeps the original `/`/`%` address map and per-word
+/// loop, and every transfer must agree on the returned cost and on all
+/// counters.
+#[cfg(test)]
+mod oracle_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The original word-at-a-time model.
+    struct Oracle {
+        cfg: DramConfig,
+        open_rows: Vec<Option<usize>>,
+        bank_ready: Vec<u64>,
+        now: u64,
+        row_misses: u64,
+        bank_conflicts: u64,
+        words: u64,
+        busy: u64,
+    }
+
+    impl Oracle {
+        fn new(cfg: DramConfig) -> Self {
+            Oracle {
+                open_rows: vec![None; cfg.banks],
+                bank_ready: vec![0; cfg.banks],
+                cfg,
+                now: 0,
+                row_misses: 0,
+                bank_conflicts: 0,
+                words: 0,
+                busy: 0,
+            }
+        }
+
+        fn bank_of(&self, word: usize) -> usize {
+            if self.cfg.wings > 1 {
+                let wing = (word / self.cfg.wing_words) % self.cfg.wings;
+                let local = word % self.cfg.wing_words;
+                let bpw = self.cfg.banks_per_wing();
+                wing * bpw + (local / self.cfg.interleave_words) % bpw
+            } else {
+                (word / self.cfg.interleave_words) % self.cfg.banks
+            }
+        }
+
+        fn row_of(&self, word: usize) -> usize {
+            if self.cfg.wings > 1 {
+                let local = word % self.cfg.wing_words;
+                local / (self.cfg.row_words * self.cfg.banks_per_wing())
+            } else {
+                word / (self.cfg.row_words * self.cfg.banks)
+            }
+        }
+
+        fn transfer(&mut self, start: usize, n: usize, pattern: AccessPattern) -> DramCost {
+            let group = match pattern {
+                AccessPattern::Strided { .. } => self.cfg.strided_words_per_cycle as usize,
+                _ => self.cfg.seq_words_per_cycle as usize,
+            };
+            if n == 0 {
+                return DramCost::default();
+            }
+            let start_time = self.now;
+            let mut t = self.now + self.cfg.t_startup;
+            let mut row_misses = 0u64;
+            let mut issued = 0usize;
+            while issued < n {
+                let in_group = group.min(n - issued);
+                let mut group_ready = t;
+                for k in 0..in_group {
+                    let idx = issued + k;
+                    let word = match pattern {
+                        AccessPattern::Sequential => start + idx,
+                        AccessPattern::Strided { stride_words } => start + idx * stride_words,
+                        AccessPattern::Chunked { chunk_words, stride_words } => {
+                            start + (idx / chunk_words) * stride_words + idx % chunk_words
+                        }
+                    };
+                    let bank = self.bank_of(word);
+                    let row = self.row_of(word);
+                    let ready = self.bank_ready[bank];
+                    self.bank_conflicts += u64::from(ready > t);
+                    if self.open_rows[bank] != Some(row) {
+                        row_misses += 1;
+                        let lookahead = self.cfg.t_precharge + self.cfg.t_activate;
+                        let activate_start = ready.max(t.saturating_sub(lookahead));
+                        let activate_end = activate_start + lookahead;
+                        self.open_rows[bank] = Some(row);
+                        self.bank_ready[bank] = activate_end;
+                        group_ready = group_ready.max(activate_end);
+                    } else {
+                        group_ready = group_ready.max(ready);
+                    }
+                }
+                t = group_ready + 1;
+                issued += in_group;
+            }
+            self.now = t;
+            self.row_misses += row_misses;
+            let data = n.div_ceil(group) as u64;
+            let total = t - start_time;
+            self.words += n as u64;
+            self.busy += total;
+            DramCost {
+                total: Cycles::new(total),
+                data: Cycles::new(data),
+                overhead: Cycles::new(total.saturating_sub(data + self.cfg.t_startup)),
+                startup: Cycles::new(self.cfg.t_startup),
+                row_misses,
+            }
+        }
+    }
+
+    /// Every preset, each with the interface widths and address-generator
+    /// counts the design-space sweep varies (a superset of its grid).
+    fn swept_configs() -> Vec<DramConfig> {
+        let mut out = Vec::new();
+        for preset in [
+            DramConfig::viram_onchip(),
+            DramConfig::imagine_offchip(),
+            DramConfig::raw_offchip(),
+            DramConfig::ppc_offchip(),
+        ] {
+            out.push(preset);
+            for ags in [2, 4, 8] {
+                out.push(preset.with_strided_words_per_cycle(ags));
+            }
+            for wpc in [1, 2, 4] {
+                out.push(preset.with_seq_words_per_cycle(wpc).with_strided_words_per_cycle(wpc));
+            }
+        }
+        out
+    }
+
+    /// `(kind, start, words, stride, chunk)` → a transfer; `kind` 3 idles
+    /// the interface for `stride` cycles instead.
+    type Op = (usize, usize, usize, usize, usize);
+
+    fn pattern(kind: usize, stride: usize, chunk: usize) -> AccessPattern {
+        match kind {
+            0 => AccessPattern::Sequential,
+            1 => AccessPattern::Strided { stride_words: stride },
+            _ => AccessPattern::Chunked { chunk_words: chunk, stride_words: stride },
+        }
+    }
+
+    fn agree(cfg: DramConfig, ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut model = DramModel::new(cfg).expect("valid config");
+        let mut oracle = Oracle::new(cfg);
+        for &(kind, start, words, stride, chunk) in ops {
+            if kind == 3 {
+                model.idle(Cycles::new(stride as u64));
+                oracle.now += stride as u64;
+                continue;
+            }
+            let p = pattern(kind, stride, chunk);
+            let got = model.transfer(start, words, p).expect("valid pattern");
+            prop_assert_eq!(got, oracle.transfer(start, words, p), "{:?} {:?}", cfg, p);
+            prop_assert_eq!(model.row_misses(), oracle.row_misses);
+            prop_assert_eq!(model.bank_conflicts(), oracle.bank_conflicts);
+            prop_assert_eq!(model.busy_cycles(), oracle.busy);
+            prop_assert_eq!(model.words_transferred(), oracle.words);
+        }
+        Ok(())
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0usize..4, 0usize..20_000, 0usize..300, 1usize..2_100, 1usize..24),
+            1..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn swept_configs_match_oracle(which in 0usize..28, ops in ops()) {
+            let configs = swept_configs();
+            agree(configs[which % configs.len()], &ops)?;
+        }
+
+        #[test]
+        fn random_configs_match_oracle(
+            shape in (1usize..4, 1usize..7, 1usize..40, 1usize..13, 1usize..300),
+            timing in (0u64..12, 0u64..12, 0u64..30, 1u32..10, 1u32..10),
+            ops in ops(),
+        ) {
+            let (wings, bpw, row_words, interleave_words, wing_words) = shape;
+            let (t_precharge, t_activate, t_startup, seq, strided) = timing;
+            let cfg = DramConfig {
+                banks: wings * bpw,
+                row_words,
+                interleave_words,
+                t_precharge,
+                t_activate,
+                t_startup,
+                seq_words_per_cycle: seq,
+                strided_words_per_cycle: strided,
+                wings,
+                wing_words: if wings > 1 { wing_words } else { 0 },
+            };
+            agree(cfg, &ops)?;
+        }
+    }
+
+    #[test]
+    fn viram_wing_boundary_and_high_addresses_match_oracle() {
+        // The non-power-of-two VIRAM wing size, walked across the wing
+        // boundary and far past the address space (the map wraps).
+        let cfg = DramConfig::viram_onchip();
+        let edge = cfg.wing_words;
+        let ops: Vec<Op> = vec![
+            (0, edge - 37, 300, 1, 1),
+            (1, edge - 5_000, 250, 1_032, 1),
+            (2, edge - 100, 200, 1_040, 9),
+            (0, 7 * edge + 3, 120, 1, 1),
+            (1, usize::MAX / 4, 64, 8_193, 1),
+        ];
+        agree(cfg, &ops).expect("block walk agrees with the oracle");
+    }
+
+    #[test]
+    fn divisor_is_exact() {
+        let mut divisors: Vec<usize> = (1..=70).collect();
+        divisors.extend([
+            DramConfig::viram_onchip().wing_words,
+            1_000_003,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            usize::MAX / 3,
+            usize::MAX - 1,
+            usize::MAX,
+        ]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for &d in &divisors {
+            let div = Divisor::new(d);
+            let check = |n: usize| assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            for n in [
+                0,
+                1,
+                d - 1,
+                d,
+                d.wrapping_add(1),
+                d.wrapping_mul(2) - 1,
+                usize::MAX,
+                usize::MAX - d,
+            ] {
+                check(n);
+            }
+            for _ in 0..2_000 {
+                // xorshift64*
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                let n = x.wrapping_mul(0x2545_f491_4f6c_dd1d) as usize;
+                check(n);
+                check(n >> (n % 64));
+            }
+        }
+    }
+
+    #[test]
+    fn runs_cover_the_addresses_in_order() {
+        for p in [
+            AccessPattern::Sequential,
+            AccessPattern::Strided { stride_words: 1 },
+            AccessPattern::Strided { stride_words: 7 },
+            AccessPattern::Chunked { chunk_words: 5, stride_words: 5 },
+            AccessPattern::Chunked { chunk_words: 5, stride_words: 12 },
+            AccessPattern::Chunked { chunk_words: 1, stride_words: 3 },
+        ] {
+            for (from, to) in [(0usize, 0usize), (0, 1), (0, 23), (3, 17), (5, 10)] {
+                let walked: Vec<usize> =
+                    p.runs(40, from..to).flat_map(|(a, len)| a..a + len).collect();
+                let direct: Vec<usize> = (from..to).map(|i| p.addr(40, i)).collect();
+                assert_eq!(walked, direct, "{p:?} {from}..{to}");
+            }
+        }
     }
 }

@@ -105,19 +105,105 @@ impl WordMemory {
         self.write_u32(addr, value.to_bits())
     }
 
+    /// The index range of the `len`-word region at `addr`, checked once.
+    fn region(&self, addr: usize, len: usize) -> Result<std::ops::Range<usize>, SimError> {
+        let size = self.words.len();
+        let end = addr.checked_add(len).ok_or(SimError::OutOfBounds { addr: usize::MAX, size })?;
+        if end > size {
+            return Err(SimError::OutOfBounds { addr: end, size });
+        }
+        Ok(addr..end)
+    }
+
+    /// Checks that all `n` words at `addr`, `addr + stride`, … exist;
+    /// the error names the first one that does not, as a word-by-word
+    /// walk would.
+    fn check_strided(&self, addr: usize, stride: usize, n: usize) -> Result<(), SimError> {
+        let size = self.words.len();
+        let last =
+            n.checked_sub(1).map(|k| k.checked_mul(stride).and_then(|o| o.checked_add(addr)));
+        match last {
+            None => Ok(()),
+            Some(Some(last)) if last < size => Ok(()),
+            // Past the end somewhere: at `addr` itself, or (stride > 0)
+            // at the first multiple of the stride that reaches `size`.
+            Some(_) if addr >= size => Err(SimError::OutOfBounds { addr, size }),
+            Some(_) => {
+                let first = (size - addr).div_ceil(stride).saturating_mul(stride);
+                Err(SimError::OutOfBounds { addr: addr.saturating_add(first), size })
+            }
+        }
+    }
+
+    /// Borrows the `len`-word region at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the region does not fit.
+    pub fn block(&self, addr: usize, len: usize) -> Result<&[u32], SimError> {
+        let range = self.region(addr, len)?;
+        Ok(&self.words[range])
+    }
+
+    /// Mutably borrows the `len`-word region at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if the region does not fit.
+    pub fn block_mut(&mut self, addr: usize, len: usize) -> Result<&mut [u32], SimError> {
+        let range = self.region(addr, len)?;
+        Ok(&mut self.words[range])
+    }
+
+    /// Gathers `out.len()` words from `addr`, `addr + stride`, … into
+    /// `out`. Bounds are checked once; on error `out` is untouched.
+    ///
+    /// ```
+    /// use triarch_simcore::WordMemory;
+    ///
+    /// # fn main() -> Result<(), triarch_simcore::SimError> {
+    /// let mut m = WordMemory::new(16);
+    /// m.write_block_u32(0, &(0..16).collect::<Vec<u32>>())?;
+    /// let mut column = [0u32; 4];
+    /// m.gather(1, 4, &mut column)?;
+    /// assert_eq!(column, [1, 5, 9, 13]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] naming the first missing word.
+    pub fn gather(&self, addr: usize, stride: usize, out: &mut [u32]) -> Result<(), SimError> {
+        self.check_strided(addr, stride, out.len())?;
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.words[addr + i * stride];
+        }
+        Ok(())
+    }
+
+    /// Scatters `data` to `addr`, `addr + stride`, …, the inverse of
+    /// [`gather`](Self::gather). Bounds are checked once; on error the
+    /// memory is untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] naming the first missing word.
+    pub fn scatter(&mut self, addr: usize, stride: usize, data: &[u32]) -> Result<(), SimError> {
+        self.check_strided(addr, stride, data.len())?;
+        for (i, &v) in data.iter().enumerate() {
+            self.words[addr + i * stride] = v;
+        }
+        Ok(())
+    }
+
     /// Copies a region out of the memory as `u32` words.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`] if the region does not fit.
     pub fn read_block_u32(&self, addr: usize, len: usize) -> Result<Vec<u32>, SimError> {
-        let end = addr
-            .checked_add(len)
-            .ok_or(SimError::OutOfBounds { addr: usize::MAX, size: self.words.len() })?;
-        if end > self.words.len() {
-            return Err(SimError::OutOfBounds { addr: end, size: self.words.len() });
-        }
-        Ok(self.words[addr..end].to_vec())
+        Ok(self.block(addr, len)?.to_vec())
     }
 
     /// Writes a slice of `u32` words starting at `addr`.
@@ -126,13 +212,20 @@ impl WordMemory {
     ///
     /// Returns [`SimError::OutOfBounds`] if the region does not fit.
     pub fn write_block_u32(&mut self, addr: usize, data: &[u32]) -> Result<(), SimError> {
-        let end = addr
-            .checked_add(data.len())
-            .ok_or(SimError::OutOfBounds { addr: usize::MAX, size: self.words.len() })?;
-        if end > self.words.len() {
-            return Err(SimError::OutOfBounds { addr: end, size: self.words.len() });
-        }
-        self.words[addr..end].copy_from_slice(data);
+        self.block_mut(addr, data.len())?.copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Copies the `len`-word region at `src` to `dst` within this memory
+    /// (the regions may overlap).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::OutOfBounds`] if either region does not fit.
+    pub fn copy_within(&mut self, src: usize, len: usize, dst: usize) -> Result<(), SimError> {
+        let from = self.region(src, len)?;
+        self.region(dst, len)?;
+        self.words.copy_within(from, dst);
         Ok(())
     }
 
@@ -226,6 +319,46 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         let c = WordMemory::from_f32(&[1.0, 2.0]);
         assert_eq!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn borrowed_blocks_are_bounds_checked_once() {
+        let mut m = WordMemory::new(8);
+        m.block_mut(2, 3).unwrap().copy_from_slice(&[7, 8, 9]);
+        assert_eq!(m.block(2, 3).unwrap(), &[7, 8, 9]);
+        assert_eq!(m.block(8, 0).unwrap(), &[] as &[u32]);
+        assert_eq!(m.block(6, 3), Err(SimError::OutOfBounds { addr: 9, size: 8 }));
+        assert!(m.block_mut(usize::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn strided_errors_name_the_first_missing_word() {
+        // The word-by-word walks these replace failed at the first
+        // address past the end; the single check reports the same one.
+        let mut m = WordMemory::new(10);
+        let mut out = [0u32; 4];
+        assert_eq!(m.gather(0, 3, &mut out), Ok(()));
+        assert_eq!(m.gather(1, 3, &mut out), Err(SimError::OutOfBounds { addr: 10, size: 10 }));
+        assert_eq!(m.gather(2, 3, &mut out), Err(SimError::OutOfBounds { addr: 11, size: 10 }));
+        assert_eq!(m.gather(12, 0, &mut out), Err(SimError::OutOfBounds { addr: 12, size: 10 }));
+        assert_eq!(m.gather(9, 0, &mut out), Ok(()));
+        assert_eq!(m.scatter(4, 6, &[1, 2]), Err(SimError::OutOfBounds { addr: 10, size: 10 }));
+        assert!(m.scatter(3, usize::MAX / 2, &[1, 2, 3]).is_err());
+        assert_eq!(m.as_words(), &[0; 10], "a failed scatter writes nothing");
+        m.scatter(0, 4, &[1, 2, 3]).unwrap();
+        assert_eq!(m.as_words(), &[1, 0, 0, 0, 2, 0, 0, 0, 3, 0]);
+        assert_eq!(m.gather(0, 4, &mut []), Ok(()));
+    }
+
+    #[test]
+    fn copy_within_moves_one_region() {
+        let mut m = WordMemory::new(8);
+        m.write_block_u32(0, &[1, 2, 3, 4]).unwrap();
+        m.copy_within(1, 3, 4).unwrap();
+        assert_eq!(m.as_words(), &[1, 2, 3, 4, 2, 3, 4, 0]);
+        assert!(m.copy_within(6, 3, 0).is_err());
+        assert!(m.copy_within(0, 3, 6).is_err());
+        assert_eq!(m.as_words(), &[1, 2, 3, 4, 2, 3, 4, 0]);
     }
 
     #[test]

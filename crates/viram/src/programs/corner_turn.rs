@@ -21,7 +21,6 @@
 //!    read and write streams own disjoint bank sets.
 
 use triarch_kernels::corner_turn::CornerTurnWorkload;
-use triarch_kernels::verify::verify_words;
 use triarch_simcore::faults::FaultHook;
 use triarch_simcore::trace::TraceSink;
 use triarch_simcore::{KernelRun, SimError};
@@ -136,9 +135,9 @@ fn resident<S: TraceSink, F: FaultHook>(
     // Extract the destination (dropping pad) and verify bit-exactness.
     let mut out = Vec::with_capacity(rows * cols);
     for c in 0..cols {
-        out.extend(unit.memory().read_block_u32(dst.addr(c, 0), rows)?);
+        out.extend_from_slice(unit.memory().block(dst.addr(c, 0), rows)?);
     }
-    let verification = verify_words(&out, &workload.reference_transpose());
+    let verification = workload.verify_transpose(&out);
     unit.finish(verification)
 }
 
@@ -213,13 +212,13 @@ fn streaming<S: TraceSink, F: FaultHook>(
         // DMA the transposed band back out and collect it.
         unit.dma(h * cols);
         for c in 0..cols {
-            let strip = unit.memory().read_block_u32(dst.addr(c, 0), h)?;
-            out[c * rows + r0..c * rows + r0 + h].copy_from_slice(&strip);
+            let strip = unit.memory().block(dst.addr(c, 0), h)?;
+            out[c * rows + r0..c * rows + r0 + h].copy_from_slice(strip);
         }
         r0 += h;
     }
 
-    let verification = verify_words(&out, &workload.reference_transpose());
+    let verification = workload.verify_transpose(&out);
     unit.finish(verification)
 }
 

@@ -385,8 +385,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vload_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        let data = self.mem.read_block_u32(addr, vl)?;
-        self.regs[vr][..vl].copy_from_slice(&data);
+        self.regs[vr][..vl].copy_from_slice(self.mem.block(addr, vl)?);
         self.mem_op(addr, None, vl, "vload.unit")
     }
 
@@ -405,9 +404,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        for i in 0..vl {
-            self.regs[vr][i] = self.mem.read_u32(addr + i * stride)?;
-        }
+        self.mem.gather(addr, stride, &mut self.regs[vr][..vl])?;
         self.mem_op(addr, Some(stride), vl, "vload.strided")
     }
 
@@ -420,8 +417,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     pub fn vstore_unit(&mut self, vr: usize, addr: usize, vl: usize) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        let data: Vec<u32> = self.regs[vr][..vl].to_vec();
-        self.mem.write_block_u32(addr, &data)?;
+        self.mem.write_block_u32(addr, &self.regs[vr][..vl])?;
         self.mem_op(addr, None, vl, "vstore.unit")
     }
 
@@ -440,10 +436,7 @@ impl<S: TraceSink, F: FaultHook> VectorUnit<S, F> {
     ) -> Result<(), SimError> {
         self.check_reg(vr)?;
         self.check_vl(vl)?;
-        for i in 0..vl {
-            let v = self.regs[vr][i];
-            self.mem.write_u32(addr + i * stride, v)?;
-        }
+        self.mem.scatter(addr, stride, &self.regs[vr][..vl])?;
         self.mem_op(addr, Some(stride), vl, "vstore.strided")
     }
 
@@ -774,6 +767,60 @@ mod tests {
         assert!(u.vload_unit(0, 0, 65).is_err());
         assert!(u.vload_strided(0, 0, 0, 4).is_err());
         assert!(u.vload_unit(0, usize::MAX - 2, 4).is_err());
+    }
+
+    /// Flips one bit of word `offset` of every transfer long enough.
+    struct FlipAt(usize);
+
+    impl FaultHook for FlipAt {
+        fn transfer(&mut self, _: FaultDomain, _: usize, words: usize) -> TransferFaults {
+            let flips = if self.0 < words {
+                vec![triarch_simcore::faults::WordFlip { offset: self.0, xor_mask: 1 << 31 }]
+            } else {
+                Vec::new()
+            };
+            TransferFaults { flips, ..TransferFaults::default() }
+        }
+
+        fn stuck(&mut self, _: FaultDomain) -> Option<triarch_simcore::faults::StuckFault> {
+            None
+        }
+    }
+
+    #[test]
+    fn block_moves_and_flips_land_on_the_transfer_words() {
+        let mut u = VectorUnit::with_hooks(&ViramConfig::paper(), NullSink, FlipAt(2)).unwrap();
+        let init: Vec<u32> = (0..256u32).map(|i| i * 3 + 1).collect();
+        u.memory_mut().write_block_u32(0, &init).unwrap();
+        let mut want = init.clone();
+
+        // Gather: the register gets the clean words; the flip then lands in
+        // memory on element 2 of the strided walk.
+        u.vload_strided(0, 5, 7, 6).unwrap();
+        let gathered: Vec<u32> = (0..6).map(|i| init[5 + 7 * i]).collect();
+        assert_eq!(&u.reg(0).unwrap()[..6], &gathered[..]);
+        want[5 + 7 * 2] ^= 1 << 31;
+
+        // Scatter and unit-stride stores write the register, then element 2
+        // of the store is flipped in place.
+        u.vstore_strided(0, 100, 3, 6).unwrap();
+        for (i, &v) in gathered.iter().enumerate() {
+            want[100 + 3 * i] = v;
+        }
+        want[100 + 3 * 2] ^= 1 << 31;
+        u.vstore_unit(0, 200, 6).unwrap();
+        want[200..206].copy_from_slice(&gathered);
+        want[202] ^= 1 << 31;
+        u.vload_unit(1, 40, 4).unwrap();
+        assert_eq!(&u.reg(1).unwrap()[..4], &init[40..44]);
+        want[42] ^= 1 << 31;
+
+        assert_eq!(u.memory().block(0, 256).unwrap(), &want[..]);
+        // Out-of-range strided accesses fail before touching anything.
+        let end = u.memory().len();
+        assert!(u.vload_strided(2, end - 10, 7, 4).is_err());
+        assert!(u.vstore_strided(0, end - 10, 7, 4).is_err());
+        assert_eq!(u.memory().block(end - 10, 10).unwrap(), &[0; 10]);
     }
 
     #[test]
