@@ -83,6 +83,16 @@ cargo run --release -q -p triarch-bench --bin repro -- faultsweep --small --camp
   2>/dev/null > target/ci-faultsweep-small.txt
 diff -u tests/golden/faultsweep-small-campaigns8.txt target/ci-faultsweep-small.txt
 
+# The paper-scale hardware counters (cache hits, misses, evictions and
+# write-backs, DRAM rows, TLB misses, cycles) must match the committed
+# golden line for line. Only the host wall-time gauges (`triarch_host_*`)
+# differ between runs, so they are left out of the comparison.
+echo "== repro metrics (paper scale) matches the committed golden =="
+cargo run --release -q -p triarch-bench --bin repro -- metrics target/ci-metrics-paper --jobs 2 \
+  >/dev/null 2>&1
+grep -v triarch_host_ target/ci-metrics-paper/metrics.prom > target/ci-metrics-paper.prom
+diff -u tests/golden/metrics-paper.prom target/ci-metrics-paper.prom
+
 echo "== parallel byte-identity smoke (--jobs 1 vs --jobs 2) =="
 j1="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 1 table3 breakdowns 2>/dev/null)"
 j2="$(cargo run --release -q -p triarch-bench --bin repro -- --jobs 2 table3 breakdowns 2>/dev/null)"
